@@ -59,12 +59,6 @@ class Chain:
     def top(self) -> frozenset[tuple[int, ...]]:
         return self.levels[-1]
 
-    def top_tuples(self) -> list[tuple[GroupElement, ...]]:
-        spec = self.base.spec
-        return [
-            tuple(spec.element_at(i) for i in t) for t in sorted(self.top)
-        ]
-
 
 @dataclass(frozen=True)
 class ChainCheck:

@@ -54,14 +54,8 @@ class ChangOutcome:
 
 
 def _invariant_indices(g: RationalFunc, A: GroupSet, kappa: Fraction) -> set[int]:
-    energy = g.l2_norm_sq()
-    cut = kappa * energy
-    out = set()
-    for x in sorted(A.indices):
-        diff = g - g.translate_index(x)
-        if diff.l2_norm_sq() < cut:
-            out.add(x)
-    return out
+    cut = kappa * g.l2_norm_sq()
+    return {x for x in A.indices if g.translation_defect(x, 2) < cut}
 
 
 def invariant_set(
@@ -96,7 +90,7 @@ def decrement_check(
     old = g.l2_norm_sq()
     new_g = average_with_translate(g, x)
     new = new_g.l2_norm_sq()
-    defect = (g - g.translate(x)).l2_norm_sq()
+    defect = g.translation_defect(x.index, 2)
     if new != old - defect / 4:
         raise AssertionError("parallelogram identity violated; this indicates a bug")
     return new, new <= (1 - kappa / 4) * old

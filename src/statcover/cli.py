@@ -23,7 +23,7 @@ from .covering import statistical_cover, verify_covered
 from .fourier import annihilator, spectrum
 from .functions import indicator
 from .groups import GroupSpec
-from .pipeline import PipelineCheckError, PipelineReport, theorem_driver
+from .pipeline import CheckRecord, PipelineCheckError, PipelineReport, theorem_driver
 from .sets import GroupSet, generate_instance
 from .suites import FAMILIES, run_all_suites, _instance_for
 
@@ -130,7 +130,7 @@ def to_jsonable(value: Any) -> Any:
     return str(value)
 
 
-def _check_dicts(checks) -> list[dict[str, Any]]:
+def _check_dicts(checks: Sequence[CheckRecord]) -> list[dict[str, Any]]:
     return [
         {
             "name": c.name,
@@ -202,23 +202,10 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         t0 = time.time()
         cert = statistical_cover(A, A, delta)
         ok, frac = verify_covered(A, cert.X, delta)
+        size = Fraction(len(cert.X))
         checks = [
-            {
-                "name": "cover-size-bound",
-                "lhs": to_jsonable(Fraction(len(cert.X))),
-                "rhs": to_jsonable(cert.size_bound),
-                "relation": "<=",
-                "holds": Fraction(len(cert.X)) <= cert.size_bound,
-                "detail": "",
-            },
-            {
-                "name": "coverage-replay",
-                "lhs": to_jsonable(frac),
-                "rhs": to_jsonable(1 - delta),
-                "relation": ">=",
-                "holds": ok,
-                "detail": "",
-            },
+            CheckRecord("cover-size-bound", size, cert.size_bound, "<=", size <= cert.size_bound),
+            CheckRecord("coverage-replay", frac, 1 - delta, ">=", ok),
         ]
         report = {
             "command": "cover",
@@ -226,7 +213,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             "group": list(spec.moduli),
             "seed": args.seed,
             "delta": to_jsonable(delta),
-            "checks": checks,
+            "checks": _check_dicts(checks),
             "results": {
                 "K": to_jsonable(cert.K),
                 "X": to_jsonable(cert.X),
@@ -236,7 +223,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             "timings": {"total_s": to_jsonable(time.time() - t0)},
         }
         _emit(report, args.output)
-        return EXIT_OK if all(c["holds"] for c in checks) else EXIT_VERIFY_FAILED
+        return EXIT_OK if all(c.holds for c in checks) else EXIT_VERIFY_FAILED
     if not args.group:
         raise SetFileError("cover needs --input or --group")
     spec = parse_group(args.group)
@@ -284,38 +271,22 @@ def _cmd_chang(args: argparse.Namespace) -> int:
     out = chang_iterate(indicator(A), A, kappa, eta, k_max)
     floor = Fraction(len(A) ** 2, spec.order)
     shrink = 1 - kappa / 4
+    lowest = min(out.energies)
+    decrements_ok = all(
+        out.energies[j + 1] <= shrink * out.energies[j] for j in range(len(out.path))
+    )
     checks = [
-        {
-            "name": "energy-floor",
-            "lhs": to_jsonable(min(out.energies)),
-            "rhs": to_jsonable(floor),
-            "relation": ">=",
-            "holds": min(out.energies) >= floor,
-            "detail": "",
-        },
-        {
-            "name": "decrement-factor",
-            "lhs": to_jsonable(len(out.path)),
-            "rhs": to_jsonable(len(out.path)),
-            "relation": "==",
-            "holds": all(
-                out.energies[j + 1] <= shrink * out.energies[j]
-                for j in range(len(out.path))
-            ),
-            "detail": "each appended step shrinks energy by 1 - kappa/4",
-        },
+        CheckRecord("energy-floor", lowest, floor, ">=", lowest >= floor),
+        CheckRecord(
+            "decrement-factor", out.l, out.l, "==", decrements_ok,
+            detail="each appended step shrinks energy by 1 - kappa/4",
+        ),
     ]
     if out.kind == "invariant":
         assert out.witnesses is not None
+        need = eta * len(A)
         checks.append(
-            {
-                "name": "witness-count",
-                "lhs": len(out.witnesses),
-                "rhs": to_jsonable(eta * len(A)),
-                "relation": ">=",
-                "holds": Fraction(len(out.witnesses)) >= eta * len(A),
-                "detail": "",
-            }
+            CheckRecord("witness-count", len(out.witnesses), need, ">=", len(out.witnesses) >= need)
         )
     report = {
         "command": "chang",
@@ -325,7 +296,7 @@ def _cmd_chang(args: argparse.Namespace) -> int:
         "kappa": to_jsonable(kappa),
         "eta": to_jsonable(eta),
         "k_max": k_max,
-        "checks": checks,
+        "checks": _check_dicts(checks),
         "results": {
             "kind": out.kind,
             "path_length": out.l,
@@ -336,7 +307,7 @@ def _cmd_chang(args: argparse.Namespace) -> int:
         "timings": {"total_s": to_jsonable(time.time() - t0)},
     }
     _emit(report, args.output)
-    return EXIT_OK if all(c["holds"] for c in checks) else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(c.holds for c in checks) else EXIT_VERIFY_FAILED
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -347,14 +318,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec_set = spectrum(f, eps)
     ann = annihilator(spec_set)
     checks = [
-        {
-            "name": "trivial-character-included",
-            "lhs": 0,
-            "rhs": 0,
-            "relation": "in",
-            "holds": 0 in spec_set.indices,
-            "detail": "nonnegative functions always keep the trivial character",
-        }
+        CheckRecord(
+            "trivial-character-included", 0, 0, "in", 0 in spec_set.indices,
+            detail="nonnegative functions always keep the trivial character",
+        )
     ]
     report = {
         "command": "spectrum",
@@ -362,7 +329,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "group": list(spec.moduli),
         "seed": args.seed,
         "epsilon": to_jsonable(eps),
-        "checks": checks,
+        "checks": _check_dicts(checks),
         "results": {
             "spectrum_size": len(spec_set),
             "spectrum_characters": sorted(spec_set.indices)[:SET_ELEMENT_CAP],
@@ -371,7 +338,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "timings": {"total_s": to_jsonable(time.time() - t0)},
     }
     _emit(report, args.output)
-    return EXIT_OK if all(c["holds"] for c in checks) else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(c.holds for c in checks) else EXIT_VERIFY_FAILED
 
 
 def _pipeline_results(rep: PipelineReport) -> dict[str, Any]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import convolve, indicator
-from .sets import GroupSet, indices_to_mask, k_fold_sum, sumset
+from .sets import GroupSet, k_fold_sum, sumset, translate_masks
 from .groups import require_same_spec
 
 __all__ = [
@@ -51,16 +51,6 @@ class CoverCertificate:
         return Fraction(worst, len(self.B))
 
 
-def _translate_masks(A: GroupSet, B: GroupSet) -> dict[int, int]:
-    spec = A.spec
-    b_arr = B.index_array
-    order = spec.order
-    return {
-        x: indices_to_mask(order, spec.shift_indices(b_arr, x).tolist())
-        for x in sorted(A.indices)
-    }
-
-
 def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverCertificate:
     """Greedy covering: X subset of A with |(x+B) & (X+B)| >= (1-delta)|B| for all x in A.
 
@@ -74,8 +64,8 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
-    masks = _translate_masks(A, B)
     a_sorted = sorted(A.indices)
+    masks = dict(zip(a_sorted, translate_masks(B, a_sorted)))
     need = (1 - delta) * len(B)
 
     x0 = a_sorted[0]
@@ -125,13 +115,13 @@ def ruzsa_cover(A: GroupSet, B: GroupSet) -> GroupSet:
     require_same_spec(A, B)
     if not A.indices or not B.indices:
         raise ValueError("covering needs non-empty A and B")
-    masks = _translate_masks(A, B)
+    a_sorted = sorted(A.indices)
     chosen: list[int] = []
     union = 0
-    for x in sorted(A.indices):
-        if masks[x] & union == 0:
+    for x, m in zip(a_sorted, translate_masks(B, a_sorted)):
+        if m & union == 0:
             chosen.append(x)
-            union |= masks[x]
+            union |= m
     X = GroupSet(A.spec, frozenset(chosen))
     if len(X) * len(B) > len(A + B):
         raise RuntimeError("ruzsa covering size bound violated; this indicates a bug")
@@ -159,19 +149,11 @@ def verify_covered(
     if not A.indices or not B.indices:
         raise ValueError("coverage check needs non-empty A and B")
     delta = Fraction(delta)
-    spec = A.spec
-    b_arr = B.index_array
     xb_mask = 0
-    for x in X.indices:
-        xb_mask |= indices_to_mask(spec.order, spec.shift_indices(b_arr, x).tolist())
+    for m in translate_masks(B, X.indices):
+        xb_mask |= m
     need = (1 - delta) * len(B)
-    worst: int | None = None
-    for x in sorted(A.indices):
-        m = indices_to_mask(spec.order, spec.shift_indices(b_arr, x).tolist())
-        c = (m & xb_mask).bit_count()
-        if worst is None or c < worst:
-            worst = c
-    assert worst is not None
+    worst = min((m & xb_mask).bit_count() for m in translate_masks(B, sorted(A.indices)))
     return (Fraction(worst) >= need, Fraction(worst, len(B)))
 
 

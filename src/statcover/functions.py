@@ -156,6 +156,27 @@ class RationalFunc:
         vals_in = self.values
         return RationalFunc(spec, tuple(vals_in[p] for p in perm))
 
+    def translation_defect(self, x: int, p: int = 1) -> Fraction:
+        """||f - tau_x f||_p^p for p in {1, 2}, exactly, with x an element index.
+
+        f(y) - f(x + y) can be nonzero only on supp f and supp f - x, so
+        only those points are visited: each s in supp f gives f(s) - f(s + x),
+        and each t in supp f outside supp f + x gives -f(t) at y = t - x.
+        """
+        if p not in (1, 2):
+            raise ValueError(f"p must be 1 or 2, got {p}")
+        sup = self.support
+        if x == 0 or not sup:
+            return _ZERO
+        vals = self.values
+        moved = self.spec.shift_indices(self.support_array, x).tolist()
+        diffs = [vals[s] - vals[t] for s, t in zip(sup, moved) if vals[s] != vals[t]]
+        hit = set(moved)
+        diffs += [vals[t] for t in sup if t not in hit]
+        if p == 1:
+            return sum(map(abs, diffs), _ZERO)
+        return sum((d * d for d in diffs), _ZERO)
+
     def __repr__(self) -> str:
         pts = ", ".join(
             f"{self.spec.element_at(i)!r}:{self.values[i]}" for i in self.support[:6]

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+MAX_GROUP_ORDER = 2**63  # element indices and place values are int64
+
+
 class GroupMismatchError(ValueError):
     """Two operands belong to different groups."""
 
@@ -41,7 +44,7 @@ def require_same_spec(left, right) -> None:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """The group Z_m1 x ... x Z_mn; every factor order m_j must be >= 2."""
+    """The group Z_m1 x ... x Z_mn; every m_j >= 2 and the order at most 2**63."""
 
     moduli: tuple[int, ...]
 
@@ -52,6 +55,12 @@ class GroupSpec:
         bad = [m for m in mods if m < 2]
         if bad:
             raise ValueError(f"cyclic factor orders must be at least 2, got {bad}")
+        order = math.prod(mods)
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(
+                f"group order {order} exceeds the limit 2**63 "
+                "(element indices are stored as int64)"
+            )
         object.__setattr__(self, "moduli", mods)
 
     # structure ------------------------------------------------------------

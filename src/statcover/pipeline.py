@@ -30,8 +30,8 @@ from .groups import GroupSpec, require_same_spec
 from .sets import (
     GroupSet,
     doubling_constant,
-    indices_to_mask,
     subgroup_closure,
+    translate_masks,
 )
 
 __all__ = [
@@ -112,8 +112,7 @@ def petridis_subset(
     spec = A.spec
     elems = sorted(within.indices)
     n = len(elems)
-    masks = {z: indices_to_mask(spec.order, spec.shift_indices(A.index_array, z).tolist())
-             for z in elems}
+    masks = dict(zip(elems, translate_masks(A, elems)))
 
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
     best_ratio: Fraction | None = None
@@ -251,9 +250,7 @@ def _stage_checks(stage: AlmostInvariantResult) -> list[CheckRecord]:
     )
     l1f = f.l1_norm()
     bad = [
-        x
-        for x in sorted(witnesses.indices)
-        if (f - f.translate_index(x)).l1_norm() > stage.eps * l1f
+        x for x in sorted(witnesses.indices) if f.translation_defect(x) > stage.eps * l1f
     ]
     checks.append(
         CheckRecord(
@@ -265,10 +262,7 @@ def _stage_checks(stage: AlmostInvariantResult) -> list[CheckRecord]:
             detail="witnesses must land in the good set",
         )
     )
-    good_ok = all(
-        (f - f.translate_index(x)).l1_norm() <= stage.eps * l1f
-        for x in stage.good.indices
-    )
+    good_ok = all(f.translation_defect(x) <= stage.eps * l1f for x in stage.good.indices)
     checks.append(
         CheckRecord(
             "good-set-invariance",
@@ -321,11 +315,7 @@ def almost_invariant_pair(
         g = average_with_translate(g, e)
     f = g.square()
     l1f = f.l1_norm()
-    good_idx = frozenset(
-        x
-        for x in A.indices
-        if (f - f.translate_index(x)).l1_norm() <= eps * l1f
-    )
+    good_idx = frozenset(x for x in A.indices if f.translation_defect(x) <= eps * l1f)
     stage = AlmostInvariantResult(
         A=A,
         eps=eps,
@@ -370,7 +360,7 @@ def annihilator_containment_check(
         raise LemmaHypothesisError("eps must be positive")
     l1 = g.l1_norm()
     for a in sorted(A.indices):
-        moved = (g - g.translate_index(a)).l1_norm()
+        moved = g.translation_defect(a)
         if moved > eps * l1:
             raise LemmaHypothesisError(
                 f"translate by element index {a} moves g by {moved} > eps * l1"
@@ -420,7 +410,7 @@ def spec_annihilator_bound(
         raise LemmaHypothesisError("g must be supported on A_prime")
     l1h = h.l1_norm()
     for a in sorted(A_prime.indices):
-        if (h - h.translate_index(a)).l1_norm() > eps * l1h:
+        if h.translation_defect(a) > eps * l1h:
             raise LemmaHypothesisError(
                 f"translate by element index {a} moves h by more than eps * l1"
             )
@@ -441,6 +431,17 @@ def spec_annihilator_bound(
 
 def _rationalize(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10**9)
+
+
+def _audit_trail(
+    stage1: Sequence[CheckRecord],
+    stage2: Sequence[CheckRecord],
+    driver: Sequence[CheckRecord],
+) -> list[CheckRecord]:
+    """Stage checks under their stage1-/stage2- names, then the driver checks."""
+    out = [replace(c, name=f"stage1-{c.name}") for c in stage1]
+    out += [replace(c, name=f"stage2-{c.name}") for c in stage2]
+    return out + list(driver)
 
 
 @dataclass(frozen=True)
@@ -488,12 +489,7 @@ class PipelineReport:
         return self.final_petridis.Z
 
     def all_checks(self) -> list[CheckRecord]:
-        out = [CheckRecord(f"stage1-{c.name}", c.lhs, c.rhs, c.relation, c.holds, c.detail)
-               for c in self.stage1.checks]
-        out += [CheckRecord(f"stage2-{c.name}", c.lhs, c.rhs, c.relation, c.holds, c.detail)
-                for c in self.stage2.checks]
-        out += list(self.checks)
-        return out
+        return _audit_trail(self.stage1.checks, self.stage2.checks, self.checks)
 
 
 def _random_c_family(
@@ -557,7 +553,7 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
         )
     )
 
-    fixed = sum(1 for v in V1.indices if h == h.translate_index(v))
+    fixed = sum(1 for v in V1.indices if h.translation_defect(v) == 0)
     checks.append(
         CheckRecord(
             "h-subgroup-invariance",
@@ -570,9 +566,7 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
     )
 
     l1f = f.l1_norm()
-    moved = [
-        (h - h.translate_index(z)).l1_norm() for z in sorted(report.invariance_set.indices)
-    ]
+    moved = [h.translation_defect(z) for z in sorted(report.invariance_set.indices)]
     worst_move = max(moved) if moved else Fraction(0)
     checks.append(
         CheckRecord(
@@ -877,9 +871,6 @@ def theorem_driver(
 
 def reverify_report(report: PipelineReport) -> list[CheckRecord]:
     """Recompute every recorded check from the report's stored objects."""
-    out = [CheckRecord(f"stage1-{c.name}", c.lhs, c.rhs, c.relation, c.holds, c.detail)
-           for c in _stage_checks(report.stage1)]
-    out += [CheckRecord(f"stage2-{c.name}", c.lhs, c.rhs, c.relation, c.holds, c.detail)
-            for c in _stage_checks(report.stage2)]
-    out += _driver_checks(report)
-    return out
+    return _audit_trail(
+        _stage_checks(report.stage1), _stage_checks(report.stage2), _driver_checks(report)
+    )

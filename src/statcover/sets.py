@@ -27,6 +27,7 @@ __all__ = [
     "is_subgroup",
     "generate_instance",
     "indices_to_mask",
+    "translate_masks",
 ]
 
 INSTANCE_KINDS = ("random", "independent", "subgroup", "coset_union")
@@ -39,6 +40,13 @@ def indices_to_mask(order: int, indices: Iterable[int]) -> int:
     if idx:
         buf[idx] = True
     return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+
+
+def translate_masks(B: GroupSet, xs: Iterable[int]) -> list[int]:
+    """Bitmask of the translate x + B for each element index x in xs, in order."""
+    spec = B.spec
+    b_arr = B.index_array
+    return [indices_to_mask(spec.order, spec.shift_indices(b_arr, x).tolist()) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -91,9 +99,6 @@ class GroupSet:
 
     def __contains__(self, x: GroupElement) -> bool:
         return x.spec == self.spec and x.index in self.indices
-
-    def contains_index(self, i: int) -> bool:
-        return i in self.indices
 
     def __iter__(self) -> Iterator[GroupElement]:
         for i in sorted(self.indices):

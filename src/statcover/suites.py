@@ -33,7 +33,7 @@ from .pipeline import (
     spec_annihilator_bound,
     theorem_driver,
 )
-from .sets import GroupSet, generate_instance, indices_to_mask, k_fold_sum, subgroup_closure
+from .sets import GroupSet, generate_instance, k_fold_sum, subgroup_closure, translate_masks
 
 __all__ = [
     "SuiteResult",
@@ -188,11 +188,7 @@ def ruzsa_suite(instances: list[tuple[str, GroupSet]]) -> SuiteResult:
     t0 = time.time()
     for label, A in instances:
         X = ruzsa_cover(A, A)
-        spec = A.spec
-        masks = [
-            indices_to_mask(spec.order, spec.shift_indices(A.index_array, x).tolist())
-            for x in sorted(X.indices)
-        ]
+        masks = translate_masks(A, sorted(X.indices))
         disjoint = all(
             m1 & m2 == 0 for m1, m2 in combinations(masks, 2)
         )
@@ -276,55 +272,65 @@ def _chain_bases(
     return out
 
 
+def _chain_family(A: GroupSet, X: GroupSet, delta: Fraction, k: int, seed: int):
+    """The length-k chains that the chain and energy sweeps enumerate for one base.
+
+    Returns (covering, width, p1, p2, inter): covering lists (S, x, chain)
+    for every selection set S and every shift x in A; p1 is the product
+    chain over k copies of the first `width` elements of A and p2 the one
+    over k seeded samples of `width` elements; inter is their intersection
+    when every summed fibre density exceeds one, else None.
+    """
+    covering = [
+        (S, x, covering_chain(A, X, delta, x, S, k))
+        for r in range(k + 1)
+        for S in map(frozenset, combinations(range(1, k + 1), r))
+        for x in A
+    ]
+    rng = random.Random(seed * 393241 + k * 17 + len(A))
+    idx = sorted(A.indices)
+    width = len(idx) // 2 + 1
+    p1 = product_chain(A, [GroupSet(A.spec, frozenset(idx[:width]))] * k)
+    p2 = product_chain(
+        A, [GroupSet(A.spec, frozenset(rng.sample(idx, width))) for _ in range(k)]
+    )
+    inter = None
+    if all(n1 + n2 > 1 for n1, n2 in zip(p1.nu, p2.nu)):
+        inter = intersect_chains(p1, p2)
+    return covering, width, p1, p2, inter
+
+
 def chain_suite(n_instances: int = 6, seed: int = 1, k_max: int = 3) -> SuiteResult:
     """Exhaustive chain constructions: every S, every shift, small bases."""
     res = SuiteResult("chain-certificates")
     t0 = time.time()
     for label, A, delta, X in _chain_bases(n_instances, seed, max_size=5):
-        elements = list(A)
         for k in range(1, k_max + 1):
-            subsets = [
-                frozenset(c)
-                for r in range(k + 1)
-                for c in combinations(range(1, k + 1), r)
-            ]
-            for S in subsets:
-                for x in elements:
-                    ch = covering_chain(A, X, delta, x, S, k)
-                    res.record(
-                        verify_chain(ch).ok,
-                        f"{label} k={k} S={sorted(S)} x={x!r}: axioms fail",
-                    )
-                    res.record(
-                        _chain_cardinality_ok(ch),
-                        f"{label} k={k} S={sorted(S)} x={x!r}: cardinality",
-                    )
-                    res.record(
-                        chain_top_in_target(A, X, x, S, ch),
-                        f"{label} k={k} S={sorted(S)} x={x!r}: top outside target",
-                    )
-            # product chains from deterministic slices, and their intersections
-            rng = random.Random(seed * 393241 + k * 17 + len(A))
-            idx = sorted(A.indices)
-            half = len(idx) // 2 + 1
-            fac1 = [GroupSet(A.spec, frozenset(idx[:half])) for _ in range(k)]
-            fac2 = [GroupSet(A.spec, frozenset(rng.sample(idx, half))) for _ in range(k)]
-            p1 = product_chain(A, fac1)
-            p2 = product_chain(A, fac2)
+            covering, width, p1, p2, inter = _chain_family(A, X, delta, k, seed)
+            for S, x, ch in covering:
+                res.record(
+                    verify_chain(ch).ok,
+                    f"{label} k={k} S={sorted(S)} x={x!r}: axioms fail",
+                )
+                res.record(
+                    _chain_cardinality_ok(ch),
+                    f"{label} k={k} S={sorted(S)} x={x!r}: cardinality",
+                )
+                res.record(
+                    chain_top_in_target(A, X, x, S, ch),
+                    f"{label} k={k} S={sorted(S)} x={x!r}: top outside target",
+                )
             for tag, ch in (("slice", p1), ("sampled", p2)):
                 res.record(verify_chain(ch).ok, f"{label} k={k} product/{tag}: axioms")
                 res.record(
                     _chain_cardinality_ok(ch), f"{label} k={k} product/{tag}: cardinality"
                 )
-            expect = 1
-            for f in fac1:
-                expect *= len(f)
+            expect = width**k
             res.record(
                 len(p1.top) == expect,
                 f"{label} k={k}: product top size {len(p1.top)} != {expect}",
             )
-            if all(n1 + n2 > 1 for n1, n2 in zip(p1.nu, p2.nu)):
-                inter = intersect_chains(p1, p2)
+            if inter is not None:
                 res.record(
                     verify_chain(inter).ok, f"{label} k={k} intersection: axioms"
                 )
@@ -355,33 +361,17 @@ def energy_suite(
     t0 = time.time()
     half = Fraction(1, 2)
     for label, A, delta, X in _chain_bases(n_exhaustive, seed, max_size=5):
-        elements = list(A)
         for k in (1, 2, 3):
-            subsets = [
-                frozenset(c)
-                for r in range(k + 1)
-                for c in combinations(range(1, k + 1), r)
-            ]
-            for S in subsets:
-                for x in elements:
-                    ch = covering_chain(A, X, delta, x, S, k)
-                    chk = energy_bound_check(A, X, ch, delta)
-                    res.record(
-                        chk.holds and not chk.precondition_failures,
-                        f"{label} k={k} S={sorted(S)} x={x!r}: {chk.lhs} < {chk.rhs} "
-                        f"or {chk.precondition_failures}",
-                    )
-            rng = random.Random(seed * 393241 + k * 17 + len(A))
-            idx = sorted(A.indices)
-            width = len(idx) // 2 + 1
-            fac1 = [GroupSet(A.spec, frozenset(idx[:width])) for _ in range(k)]
-            fac2 = [GroupSet(A.spec, frozenset(rng.sample(idx, width))) for _ in range(k)]
-            p1, p2 = product_chain(A, fac1), product_chain(A, fac2)
-            candidates = [("product", p1)]
-            if all(n1 + n2 - 1 > half for n1, n2 in zip(p1.nu, p2.nu)):
-                candidates.append(("intersection", intersect_chains(p1, p2)))
-            for tag, ch in candidates:
-                if max((1 - n for n in ch.nu), default=Fraction(0)) >= half:
+            covering, _, p1, _, inter = _chain_family(A, X, delta, k, seed)
+            for S, x, ch in covering:
+                chk = energy_bound_check(A, X, ch, delta)
+                res.record(
+                    chk.holds and not chk.precondition_failures,
+                    f"{label} k={k} S={sorted(S)} x={x!r}: {chk.lhs} < {chk.rhs} "
+                    f"or {chk.precondition_failures}",
+                )
+            for tag, ch in (("product", p1), ("intersection", inter)):
+                if ch is None or max(1 - n for n in ch.nu) >= half:
                     continue
                 chk = energy_bound_check(A, X, ch, delta)
                 res.record(
@@ -590,11 +580,7 @@ def containment_suite(n_runs: int = 100, seed: int = 1) -> SuiteResult:
         r = spec.exponent
         eps = rng.choice([Fraction(1, r), Fraction(1, 2 * r), Fraction(1, 4 * r)])
         l1 = g.l1_norm()
-        good = frozenset(
-            a
-            for a in range(spec.order)
-            if (g - g.translate_index(a)).l1_norm() <= eps * l1
-        )
+        good = frozenset(a for a in range(spec.order) if g.translation_defect(a) <= eps * l1)
         A = GroupSet(spec, good)
         ok = annihilator_containment_check(g, A, eps)
         res.record(ok, f"run{i} {spec!r} style{style} eps={eps}: containment")

@@ -87,6 +87,12 @@ class TestGen:
             )
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_order_above_int64_limit_is_bad_input(self, capsys):
+        assert main(["gen", "--group", "2^70", "--kind", "independent"]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the limit 2**63" in err
+        assert "out of range" not in err
+
     def test_generated_file_parses(self, tmp_path):
         out = tmp_path / "g.json"
         main(["gen", "--group", "3^3", "--kind", "independent", "--output", str(out)])

@@ -22,6 +22,7 @@ from oracles import (
     all_coords,
     convolve_oracle,
     eq2_lhs_oracle,
+    l2_sq_oracle,
     mu_oracle,
     translate_oracle,
 )
@@ -142,6 +143,66 @@ class TestTranslate:
                     got.value_at(spec.element(c)) == oracle[c]
                     for c in all_coords(spec.moduli)
                 )
+
+
+DEFECT_GROUPS = [(2, 2, 2), (3, 5), (4, 4), (12,)]
+
+
+class TestTranslationDefect:
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_matches_oracle_and_dense_difference(self, data):
+        mods = data.draw(st.sampled_from(DEFECT_GROUPS))
+        spec = GroupSpec(mods)
+        # sparse supports take the sparse translate path, dense ones the permutation
+        lo, hi = data.draw(st.sampled_from([(0, 3), (spec.order // 2, spec.order)]))
+        pairs = data.draw(
+            st.dictionaries(
+                st.integers(0, spec.order - 1),
+                st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                min_size=lo,
+                max_size=hi,
+            )
+        )
+        f = RationalFunc.from_pairs(spec, pairs)
+        x = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
+        values = as_dict(f)
+        moved = translate_oracle(mods, values, x.coords)
+        diff = {c: values.get(c, Fraction(0)) - moved[c] for c in all_coords(mods)}
+        dense = f - f.translate_index(x.index)
+        for p, oracle, old in (
+            (1, sum((abs(v) for v in diff.values()), Fraction(0)), dense.l1_norm()),
+            (2, l2_sq_oracle(diff), dense.l2_norm_sq()),
+        ):
+            got = f.translation_defect(x.index, p)
+            assert type(got) is Fraction
+            assert got == oracle == old
+
+    def test_zero_defects_are_fractions(self):
+        spec = GroupSpec((2, 4))
+        V = subgroup_closure(GroupSet.from_elements(spec, [(0, 2)]))
+        f = indicator(V)
+        cases = [
+            (f, 0),
+            (f, spec.index_of((0, 2))),
+            (RationalFunc.zero(spec), 3),
+        ]
+        for g, x in cases:
+            for p in (1, 2):
+                got = g.translation_defect(x, p)
+                assert type(got) is Fraction and got == 0
+
+    def test_disjoint_translate_counts_both_supports(self):
+        spec = GroupSpec((7,))
+        f = indicator(GroupSet.from_elements(spec, [(0,), (1,)]))
+        assert f.translation_defect(3) == 4
+        assert f.translation_defect(1) == 2
+        assert (3 * f).translation_defect(3, 2) == 36
+
+    def test_rejects_other_p(self):
+        f = point_mass(GroupSpec((5,)).element((1,)))
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            f.translation_defect(1, 3)
 
 
 class TestConvolve:

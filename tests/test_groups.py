@@ -30,6 +30,15 @@ class TestSpecValidation:
         assert spec.order == 48
         assert spec.exponent == 12
 
+    def test_order_limit_stops_int64_wraparound(self):
+        # Z_2^63 is the largest power of two whose indices fit in int64
+        big = GroupSpec((2,) * 63)
+        assert big.index_of([1] + [0] * 62) == 2**62
+        assert int(big._weights[0]) == 2**62
+        for moduli in ((2,) * 64, (2,) * 70, (3,) * 40):
+            with pytest.raises(ValueError, match=r"exceeds the limit 2\*\*63"):
+                GroupSpec(moduli)
+
 
 class TestElementArithmetic:
     def test_add_reduces_componentwise(self):

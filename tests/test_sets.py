@@ -16,6 +16,7 @@ from statcover import (
     sumset,
 )
 from statcover.groups import GroupMismatchError
+from statcover.sets import translate_masks
 
 from oracles import k_fold_oracle, sumset_oracle
 
@@ -92,6 +93,26 @@ class TestSumset:
             for B in subsets:
                 s = len(A + B)
                 assert max(len(A), len(B)) <= s <= len(A) * len(B)
+
+
+class TestTranslateMasks:
+    @given(
+        st.sampled_from([(2, 2, 2), (3, 5), (4, 4), (12,), (2, 3, 4)]),
+        st.data(),
+    )
+    @settings(max_examples=60)
+    def test_matches_sumset_oracle(self, mods, data):
+        spec = GroupSpec(mods)
+        idx = st.integers(min_value=0, max_value=spec.order - 1)
+        B = GroupSet(spec, frozenset(data.draw(st.sets(idx, max_size=spec.order))))
+        xs = data.draw(st.lists(idx, max_size=6))
+        masks = translate_masks(B, xs)
+        assert len(masks) == len(xs)
+        b_coords = [e.coords for e in B]
+        for x, m in zip(xs, masks):
+            members = {spec.element_at(i).coords for i in range(spec.order) if m >> i & 1}
+            assert members == sumset_oracle(mods, [spec.element_at(x).coords], b_coords)
+            assert m == B.shifted(x).mask
 
 
 class TestKFold:
