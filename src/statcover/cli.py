@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -104,11 +105,12 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def to_jsonable(value: Any) -> Any:
-    """Lossless JSON form: rationals as num/den, floats at full precision."""
+    """Lossless JSON form: rationals as num/den, floats at full precision,
+    and the non-finite floats as the strings "inf", "-inf" and "nan"."""
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, float):
-        return float(format(value, ".17g"))
+        return float(format(value, ".17g")) if math.isfinite(value) else str(value)
     if isinstance(value, bool) or isinstance(value, int) or value is None:
         return value
     if isinstance(value, str):
@@ -156,7 +158,7 @@ def _set_digest(spec: GroupSpec, A: GroupSet) -> str:
 
 
 def _emit(report: dict[str, Any], output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:

@@ -16,12 +16,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .chang import ChangOutcome, chang_iterate, energy_floor_steps
+from .chang import (
+    ChangOutcome,
+    _average_along,
+    _from_numerators,
+    chang_iterate,
+    energy_floor_steps,
+)
 from .covering import CoverCertificate, statistical_cover
 from .fourier import annihilator, spectrum
 from .functions import (
     RationalFunc,
-    average_with_translate,
     convolve,
     indicator,
     uniform_measure,
@@ -114,23 +119,20 @@ def petridis_subset(
     n = len(elems)
     masks = dict(zip(elems, translate_masks(A, elems)))
 
-    best: tuple[Fraction, int, tuple[int, ...]] | None = None
-    best_ratio: Fraction | None = None
+    # best is (|A+Z|, |Z|, members); ratios compare by cross-multiplication
+    best: tuple[int, int, tuple[int, ...]] | None = None
     eq_count = 0
 
     def consider(members: tuple[int, ...], acc_mask: int) -> None:
-        nonlocal best, best_ratio, eq_count
-        ratio = Fraction(acc_mask.bit_count(), len(members))
-        if best_ratio is None or ratio < best_ratio:
-            best_ratio = ratio
+        nonlocal best, eq_count
+        size, z = acc_mask.bit_count(), len(members)
+        if best is None or size * best[1] < best[0] * z:
             eq_count = 1
-            best = (ratio, len(members), members)
-        elif ratio == best_ratio:
+            best = (size, z, members)
+        elif size * best[1] == best[0] * z:
             eq_count += 1
-            key = (ratio, len(members), members)
-            assert best is not None
-            if key < best:
-                best = key
+            if (z, members) < best[1:]:
+                best = (size, z, members)
 
     if mode == "exhaustive":
         if n > cap:
@@ -163,10 +165,10 @@ def petridis_subset(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    assert best is not None and best_ratio is not None
+    assert best is not None
     return PetridisResult(
         Z=GroupSet(spec, frozenset(best[2])),
-        ratio=best[0],
+        ratio=Fraction(best[0], best[1]),
         ties_broken=eq_count - 1,
         mode=mode,
         candidates_scanned=scanned,
@@ -310,10 +312,8 @@ def almost_invariant_pair(
         )
 
     V = subgroup_closure(GroupSet(spec, frozenset(e.index for e in outcome.path)))
-    g = indicator(A)
-    for e in outcome.path:
-        g = average_with_translate(g, e)
-    f = g.square()
+    num, den = _average_along(indicator(A), outcome.path)
+    f = _from_numerators(spec, num * num, den * den)
     l1f = f.l1_norm()
     good_idx = frozenset(x for x in A.indices if f.translation_defect(x) <= eps * l1f)
     stage = AlmostInvariantResult(
@@ -782,6 +782,14 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
     return checks
 
 
+def _headline_comparison(K: float) -> float:
+    """exp(K log(2K)^2), or inf once it leaves the float range (from K = 37.9)."""
+    try:
+        return math.exp(K * math.log(2.0 * K) ** 2)
+    except OverflowError:
+        return math.inf
+
+
 def theorem_driver(
     A: GroupSet,
     *,
@@ -833,7 +841,7 @@ def theorem_driver(
 
     closure = subgroup_closure(A)
     ratio = Fraction(len(closure), len(A))
-    headline = math.exp(float(K) * math.log(2.0 * float(K)) ** 2)
+    headline = _headline_comparison(float(K))
 
     report = PipelineReport(
         A=A,

@@ -158,3 +158,37 @@ def statistical_cover_oracle(mods, A, B, delta):
         if found is None:
             return X
         X.append(found)
+
+
+def chang_oracle(mods, h, A, kappa, eta, k_max):
+    """Replay of the greedy energy-decrement iteration on dicts of Fractions.
+
+    h maps coordinate tuples to rationals and A is a collection of
+    coordinate tuples.  Each stage tests every x in A against
+    ||g - tau_x g||_2^2 < kappa ||g||_2^2 by a full sum over the group, then
+    either stops or appends the first failing x in lexicographic order
+    (the canonical index order) and sets g <- (g + tau_{-x} g) / 2.
+    Returns (kind, path, energies, witnesses); witnesses is None for the
+    decrement outcome.
+    """
+    coords = all_coords(mods)
+    g = {y: Fraction(h.get(y, 0)) for y in coords}
+    kappa, eta = Fraction(kappa), Fraction(eta)
+    a_sorted = sorted(set(A))
+    path = []
+    energies = [l2_sq_oracle(g)]
+    while True:
+        if len(path) >= k_max:
+            return "decrement", path, energies, None
+        passing = set()
+        for x in a_sorted:
+            defect = sum(((g[y] - g[add_c(mods, x, y)]) ** 2 for y in coords), Fraction(0))
+            if defect < kappa * energies[-1]:
+                passing.add(x)
+        if len(passing) >= eta * len(a_sorted):
+            return "invariant", path, energies, passing
+        x = next(a for a in a_sorted if a not in passing)
+        path.append(x)
+        back = neg_c(mods, x)
+        g = {y: (g[y] + g[add_c(mods, back, y)]) / 2 for y in coords}
+        energies.append(l2_sq_oracle(g))

@@ -1,7 +1,11 @@
+import decimal
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statcover import (
     GroupSet,
@@ -14,7 +18,10 @@ from statcover import (
     invariant_set,
     subgroup_closure,
 )
+from statcover import chang
 from statcover.functions import RationalFunc
+
+from oracles import chang_oracle
 
 
 class TestInvariantSet:
@@ -151,3 +158,169 @@ class TestChangIterate:
         signed = RationalFunc.from_pairs(spec, {0: 1, 1: -1})
         with pytest.raises(ValueError):
             chang_iterate(signed, A, Fraction(1), Fraction(1), 5)
+
+
+KERNEL_GROUPS = [(16,), (2, 2, 2), (3, 3), (2, 6), (5,), (4, 4)]
+
+
+def _run_both(spec, pairs, a_indices, kappa, eta, k_max):
+    """chang_iterate and chang_oracle on the same input, both as coordinates."""
+    h = RationalFunc.from_pairs(spec, pairs)
+    A = GroupSet(spec, frozenset(a_indices))
+    out = chang_iterate(h, A, kappa, eta, k_max)
+    coords = {spec.element_at(i).coords: Fraction(v) for i, v in pairs.items()}
+    oracle = chang_oracle(
+        spec.moduli, coords, [e.coords for e in A], kappa, eta, k_max
+    )
+    return out, oracle
+
+
+def _assert_same(out, oracle):
+    kind, path, energies, witnesses = oracle
+    assert out.kind == kind
+    assert [e.coords for e in out.path] == path
+    assert out.energies == tuple(energies)
+    assert all(type(e) is Fraction for e in out.energies)
+    if witnesses is None:
+        assert out.witnesses is None
+    else:
+        assert {e.coords for e in out.witnesses} == witnesses
+
+
+class TestIntegerKernel:
+    """The (num, den) iteration against a Fraction replay over the whole group."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_mixed_denominators(self, data):
+        spec = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+        idx = st.integers(0, spec.order - 1)
+        pairs = data.draw(
+            st.dictionaries(
+                idx,
+                st.fractions(min_value=0, max_value=4, max_denominator=12).filter(bool),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        a_indices = data.draw(st.sets(idx, min_size=1, max_size=6))
+        q = data.draw(st.integers(1, 64))
+        kappa = Fraction(data.draw(st.integers(1, q)), q)
+        eta = Fraction(data.draw(st.integers(0, 6)), 6)
+        k_max = data.draw(st.integers(0, 8))
+        _assert_same(*_run_both(spec, pairs, a_indices, kappa, eta, k_max))
+
+    def test_long_run_crosses_into_python_ints(self):
+        spec = GroupSpec((16,))
+        A = generate_instance("random", spec, size=5, seed=3)
+        pairs = {i: 1 for i in A.indices}
+        out, oracle = _run_both(spec, pairs, A.indices, Fraction(1, 1000), Fraction(1), 100)
+        _assert_same(out, oracle)
+        start, _ = chang._numerators(indicator(A))
+        end, den = chang._average_along(indicator(A), out.path)
+        assert start.dtype == np.int64 and end.dtype == object
+        assert den == 2 ** out.l and out.l > 40
+
+    def test_signed_values_at_the_int64_edge(self):
+        # |G| max|num|^2 = 2**62 fits int64, but the differences reach
+        # 2 * 2**30, so a row sum of their squares is 2**64
+        spec = GroupSpec((4,))
+        m = 2**30
+        h = RationalFunc.from_pairs(spec, {0: m, 1: -m, 2: m, 3: -m})
+        full = GroupSet.full(spec)
+        kappa = Fraction(1, 2)
+        expected = {
+            x for x in full.indices if h.translation_defect(x, 2) < kappa * h.l2_norm_sq()
+        }
+        assert invariant_set(h, full, (), kappa).indices == expected == {0, 2}
+
+    def test_several_row_blocks(self):
+        spec = GroupSpec((1024,))
+        rows = chang._BLOCK_ENTRIES // spec.order
+        a_indices = random.Random(7).sample(range(spec.order), 300)
+        assert len(a_indices) > rows
+        pairs = {i: 1 for i in range(600)}
+        out, oracle = _run_both(spec, pairs, a_indices, Fraction(1, 2), Fraction(1, 10), 3)
+        _assert_same(out, oracle)
+        # the witnesses are the x within 150 of 0, so both row blocks hold some
+        assert out.kind == "invariant"
+        first_block = sorted(a_indices)[:rows]
+        assert out.witnesses.indices & set(first_block)
+        assert out.witnesses.indices - set(first_block)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_rebuilt_tables_match_kept_tables(self, data):
+        spec = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+        idx = st.integers(0, spec.order - 1)
+        A = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=8))))
+        h = indicator(GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=8)))))
+        args = (h, A, Fraction(1, 3), Fraction(1, 2), 6)
+        kept = chang_iterate(*args)
+        budgets = (chang._BLOCK_ENTRIES, chang._TABLE_ENTRIES)
+        try:
+            # one row per block, nothing kept across steps
+            chang._BLOCK_ENTRIES, chang._TABLE_ENTRIES = 1, 0
+            rebuilt = chang_iterate(*args)
+        finally:
+            chang._BLOCK_ENTRIES, chang._TABLE_ENTRIES = budgets
+        assert rebuilt == kept
+
+
+def _is_least_step(k, order, a_size, kappa):
+    q = 4 / (4 - Fraction(kappa))
+    ratio = Fraction(order, a_size)
+    return q**k >= ratio and (k == 0 or q ** (k - 1) < ratio)
+
+
+class TestEnergyFloorSteps:
+    @given(
+        st.integers(2, 2**40),
+        st.floats(0, 1, exclude_min=True),
+        st.integers(1, 1000),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_least_power_covering_the_ratio(self, order, frac, q, data):
+        a_size = max(1, min(order - 1, int(order * frac)))
+        kappa = Fraction(data.draw(st.integers(1, q)), q)
+        k = energy_floor_steps(order, a_size, kappa)
+        assert _is_least_step(k, order, a_size, kappa)
+
+    @given(st.integers(3, 400), st.integers(1, 60), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_powers_decided_exactly(self, b, n, s, data):
+        # q = c/b with b < c <= 4b/3 gives kappa = 4 (c - b) / c in (0, 1];
+        # |G| / |A| = q^n exactly, where the float quotient sits on n
+        c = data.draw(st.integers(b + 1, 4 * b // 3))
+        kappa = Fraction(4 * (c - b), c)
+        order, a_size = c**n * s, b**n * s
+        k = energy_floor_steps(order, a_size, kappa)
+        assert k == n
+        assert _is_least_step(k, order, a_size, kappa)
+
+    @given(st.integers(2, 3000), st.integers(1, 2**40), st.integers(1, 2**40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_power_test_without_powers(self, m, u, v, data):
+        # q = (m+1)/m near 1 and a small ratio: the logarithm path decides,
+        # checked against the integer powers, which stay affordable here
+        q = Fraction(m + 1, m)
+        ratio = Fraction(max(u, v) + 1, min(u, v))
+        n0 = math.floor(math.log(ratio) / math.log(q))
+        n = max(1, n0 + data.draw(st.integers(-1, 2)))
+        assert chang._power_covers(q, n, ratio) == (q**n >= ratio)
+
+    def test_tiny_kappa_builds_no_huge_power(self):
+        # the quotient is near 1e14 steps, so the relative 1e-9 window always
+        # holds an integer and the exact decision must not form q^n
+        kappa = Fraction(1, 10**12)
+        k = energy_floor_steps(2**40, 3, kappa)
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            t = (D(2**40) / 3).ln() / (4 / (4 - D(1) / D(10**12))).ln()
+        assert k == math.ceil(t)
+
+    def test_no_steps_when_a_fills_the_group(self):
+        assert energy_floor_steps(8, 8, Fraction(1, 2)) == 0
+        assert energy_floor_steps(8, 9, Fraction(1, 2)) == 0

@@ -210,3 +210,18 @@ class TestOtherCommands:
         assert all(s["ok"] for s in payload["suites"])
         names = {s["name"] for s in payload["suites"]}
         assert "statistical-covering" in names and "pipeline-driver" in names
+
+
+class TestJsonForm:
+    def test_non_finite_floats_become_strings(self):
+        assert cli.to_jsonable(float("inf")) == "inf"
+        assert cli.to_jsonable(float("-inf")) == "-inf"
+        assert cli.to_jsonable(float("nan")) == "nan"
+        assert cli.to_jsonable([0.5, float("inf")]) == [0.5, "inf"]
+
+    def test_emit_writes_standard_json(self, tmp_path):
+        out = tmp_path / "r.json"
+        cli._emit(cli.to_jsonable({"headline": float("inf")}), str(out))
+        assert json.loads(out.read_text()) == {"headline": "inf"}
+        with pytest.raises(ValueError):
+            cli._emit({"headline": float("nan")}, str(out))

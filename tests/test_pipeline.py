@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ from statcover import (
     theorem_driver,
     uniform_measure,
 )
-from statcover.functions import RationalFunc
+from statcover.functions import RationalFunc, average_with_translate
+from statcover.pipeline import _headline_comparison
 
 from oracles import closure_bfs, petridis_scan_oracle
 
@@ -153,6 +155,21 @@ class TestAlmostInvariantPair:
             stage = almost_invariant_pair(A, Fraction(1, 5))
             assert all(c.holds for c in stage.checks)
             assert stage.good.issubset(A)
+
+    @pytest.mark.parametrize("mods", [(3, 3, 3), (16,), (2, 2, 2, 2), (5, 5)])
+    def test_f_matches_fraction_averaging(self, mods):
+        # f is the square of 1_A averaged along the chang path, step by step
+        spec = GroupSpec(mods)
+        rng = random.Random(8)
+        for _ in range(3):
+            A = generate_instance(
+                "random", spec, size=rng.randint(3, 7), seed=rng.getrandbits(30)
+            )
+            stage = almost_invariant_pair(A, Fraction(1, 3))
+            g = indicator(A)
+            for e in stage.chang.path:
+                g = average_with_translate(g, e)
+            assert stage.f == g.square()
 
     def test_eps_validation(self):
         spec = GroupSpec((4,))
@@ -293,3 +310,13 @@ class TestTheoremDriver:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             theorem_driver(GroupSet.empty(GroupSpec((2,))))
+
+
+class TestHeadlineComparison:
+    def test_value_inside_float_range(self):
+        assert _headline_comparison(2.0) == math.exp(2.0 * math.log(4.0) ** 2)
+        assert math.isfinite(_headline_comparison(37.8))
+
+    def test_inf_past_float_range(self):
+        assert _headline_comparison(38.0) == math.inf
+        assert _headline_comparison(1e6) == math.inf
