@@ -92,7 +92,7 @@ def _average(
     spec: GroupSpec, num: np.ndarray, den: int, x: GroupElement
 ) -> tuple[np.ndarray, int]:
     """One step g <- (g + tau_{-x} g) / 2 on g = num / den."""
-    back = spec.shift_indices(spec._arange, (-x).index)
+    back = spec._translate_table((-x).index)
     return _fit(num + num[back]), 2 * den
 
 
@@ -136,7 +136,7 @@ class _Translates:
         spec = self.spec
         for s in range(0, len(self.xs), self.rows):
             chunk = self.xs[s : s + self.rows]
-            yield np.stack([spec.shift_indices(spec._arange, x) for x in chunk])
+            yield np.stack([spec._translate_table(x) for x in chunk])
 
     def passing(self, num: np.ndarray, kappa: Fraction) -> set[int]:
         """{x : ||g - tau_x g||_2^2 < kappa ||g||_2^2} for g = num / den.

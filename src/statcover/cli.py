@@ -36,6 +36,12 @@ EXIT_VERIFY_FAILED = 3
 
 SET_ELEMENT_CAP = 512  # larger sets serialize as size plus digest only
 
+# Most steps `chang` runs: numerators gain one bit per step, so the cost of
+# a step grows with the step count (1000 steps on a 5-element set in a group
+# of order 1001 take about 3 s on one core).  A run still going at the limit
+# with a larger k_max is refused rather than cut short.
+CHANG_STEP_LIMIT = 1000
+
 _GROUP_POWER = re.compile(r"^(\d+)\^(\d+)$")
 
 
@@ -270,7 +276,14 @@ def _cmd_chang(args: argparse.Namespace) -> int:
     cap = energy_floor_steps(spec.order, len(A), kappa)
     k_max = args.k if args.k is not None else cap + 1
     t0 = time.time()
-    out = chang_iterate(indicator(A), A, kappa, eta, k_max)
+    # a run that stops within the limit is the same under any larger k_max
+    out = chang_iterate(indicator(A), A, kappa, eta, min(k_max, CHANG_STEP_LIMIT))
+    if out.kind == "decrement" and k_max > CHANG_STEP_LIMIT:
+        raise ValueError(
+            f"k_max {k_max} exceeds the chang step limit {CHANG_STEP_LIMIT} and "
+            f"the run had not stopped after {CHANG_STEP_LIMIT} steps; "
+            "pass a smaller --k or a larger --kappa"
+        )
     floor = Fraction(len(A) ** 2, spec.order)
     shrink = 1 - kappa / 4
     lowest = min(out.energies)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groups import Character, GroupSpec
+from .groups import Character, GroupSpec, _span_with
 from .functions import RationalFunc
 from .sets import GroupSet
 
@@ -100,7 +100,11 @@ def dft(f: RationalFunc, *, force_dense: bool = False) -> DualFunc:
     mixed-radix per-coordinate factorization beyond it.
     """
     spec = f.spec
-    vals = np.array([float(v) for v in f.values], dtype=np.float64)
+    vals = np.zeros(spec.order, dtype=np.float64)
+    # int / int is correctly rounded, exactly as float(Fraction)
+    vals[f.support_array] = [
+        f.values[i].numerator / f.values[i].denominator for i in f.support
+    ]
     if force_dense or spec.order <= DENSE_TRANSFORM_LIMIT:
         out = _dft_matrix(spec) @ vals.astype(np.complex128)
     else:
@@ -132,16 +136,26 @@ def annihilator(chars: CharSet) -> GroupSet:
 
     gamma(x) = 1 holds iff sum_j c_j x_j / m_j is an integer, decided by the
     exact congruence sum_j c_j x_j (r / m_j) = 0 mod r with r the exponent.
+    Since Ann(S) = Ann(<S>), only a greedy generating set of <S> filters the
+    candidates: each filter character is the least one of S outside the
+    span of those before it, so each at least doubles the span and there
+    are at most log2 |<S>| filter passes.
     """
     spec = chars.spec
     r = spec.exponent
     scale = np.array([r // m for m in spec.moduli], dtype=np.int64)
     cand = spec._arange
     grid = spec._grid
-    for ci in sorted(chars.indices):
+    rest = np.array(sorted(chars.indices - {0}), dtype=np.int64)
+    span = np.zeros(1, dtype=np.int64)
+    in_span = np.zeros(spec.order, dtype=bool)
+    while cand.size > 1 and rest.size:
+        ci = int(rest[0])
         w = (grid[ci] * scale) % r
-        tot = (grid[cand] @ w) % r
-        cand = cand[tot == 0]
-        if cand.size == 1:
-            break  # only the identity is left; it annihilates everything
+        cand = cand[(grid[cand] @ w) % r == 0]
+        rest = rest[1:]
+        if rest.size:  # extend the span only while S has characters outside it
+            span = _span_with(spec, span, ci)
+            in_span[span] = True
+            rest = rest[~in_span[rest]]
     return GroupSet(spec, frozenset(cand.tolist()))

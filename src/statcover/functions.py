@@ -152,7 +152,7 @@ class RationalFunc:
             for s, d in zip(sup, dst.tolist()):
                 vals[d] = self.values[s]
             return RationalFunc(spec, tuple(vals))
-        perm = spec.shift_indices(spec._arange, xi).tolist()
+        perm = spec._translate_table(xi).tolist()
         vals_in = self.values
         return RationalFunc(spec, tuple(vals_in[p] for p in perm))
 

@@ -143,6 +143,35 @@ class GroupSpec:
         co = (self._grid[i] + self._grid[j]) % self._mods
         return int(co @ self._weights)
 
+    @cached_property
+    def _axis_cycles(self) -> tuple[tuple[np.ndarray, int, int], ...]:
+        """(v_j v_j, m_j, w_j) per coordinate j, with v_j = arange(m_j) w_j the
+        place values of digit j stored twice so that each rotation of v_j is
+        a slice; the arrays are read-only."""
+        out = []
+        for m, w in zip(self.moduli, self._weights.tolist()):
+            v = np.arange(m, dtype=np.int64) * w
+            both = np.concatenate((v, v))
+            both.flags.writeable = False
+            out.append((both, m, w))
+        return tuple(out)
+
+    def _translate_table(self, by: int) -> np.ndarray:
+        """Indices of y + b for every index y in index order, b the index `by`.
+
+        Equal to shift_indices(_arange, by), built as the outer sum over
+        coordinates of ((y_j + b_j) mod m_j) w_j, each term a slice of
+        _axis_cycles[j], so the |G| x rank grid is never gathered.  The
+        result may be a read-only view.
+        """
+        by = int(by)
+        table = None
+        for both, m, w in self._axis_cycles:
+            b = by // w % m
+            axis = both[b : b + m]
+            table = axis if table is None else np.add.outer(table, axis)
+        return table.reshape(-1)
+
     # characters ---------------------------------------------------------------
 
     def character(self, coords: Sequence[int]) -> "Character":
@@ -263,22 +292,29 @@ class Character:
         return cmath.exp(2j * math.pi * float(self.phase(x)))
 
 
-def closure_indices(spec: GroupSpec, generators: Iterable[int]) -> frozenset[int]:
-    """Indices of the subgroup generated by the given element indices.
+def _span_with(spec: GroupSpec, span: np.ndarray, g: int) -> np.ndarray:
+    """Sorted indices of <H, g> for `span` the sorted indices of a subgroup H.
 
-    Breadth-first accumulation of generator sums; in a finite group this
-    reaches inverses, so the result is closed under both add and negate.
+    Coset doubling: after j steps span = H + {0, g, ..., (2^j - 1) g}, and
+    the next step adds the translate by t = 2^j g.  Once t lies in span,
+    t is in H + i g for some i < 2^j, so k = 2^j - i <= 2^j has k g in H and
+    span already holds every H + i g with i < k, which is all of <H, g>.
+    That takes at most ceil(log2 ord(g)) shifts.
     """
-    gens = sorted({int(g) for g in generators} - {0})
-    seen: set[int] = {0}
-    if not gens:
-        return frozenset(seen)
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        fresh: set[int] = set()
-        for g in gens:
-            fresh.update(spec.shift_indices(frontier, g).tolist())
-        fresh -= seen
-        seen |= fresh
-        frontier = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
-    return frozenset(seen)
+    t = int(g)
+    while True:
+        pos = int(np.searchsorted(span, t))
+        if pos < span.size and span[pos] == t:
+            return span
+        # sort and drop adjacent repeats: np.union1d hashes and is far slower
+        both = np.sort(np.concatenate((span, spec.shift_indices(span, t))))
+        span = both[np.concatenate(([True], both[1:] != both[:-1]))]
+        t = spec.add_index(t, t)
+
+
+def closure_indices(spec: GroupSpec, generators: Iterable[int]) -> frozenset[int]:
+    """Indices of the subgroup generated by the given element indices."""
+    span = np.zeros(1, dtype=np.int64)
+    for g in sorted({int(g) for g in generators}):
+        span = _span_with(spec, span, g)
+    return frozenset(span.tolist())

@@ -42,6 +42,23 @@ def closure_bfs(mods, gens):
     return seen
 
 
+def annihilator_oracle(mods, chars):
+    """{x : gamma(x) = 1 for every gamma in chars}, chars as coordinate tuples.
+
+    The phase sum_j c_j x_j / m_j is summed in Fractions over every x of the
+    group; gamma(x) = 1 exactly when that phase is an integer.
+    """
+    chars = [tuple(c) for c in chars]
+    out = set()
+    for x in all_coords(mods):
+        if all(
+            sum((Fraction(c * xc, m) for c, xc, m in zip(gamma, x, mods)), Fraction(0)).denominator == 1
+            for gamma in chars
+        ):
+            out.add(x)
+    return out
+
+
 def sumset_oracle(mods, A, B):
     return {add_c(mods, a, b) for a in A for b in B}
 

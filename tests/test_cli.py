@@ -174,6 +174,43 @@ class TestOtherCommands:
         assert payload["results"]["energies"][0] == {"num": 2, "den": 1}
         assert all(c["holds"] for c in payload["checks"])
 
+    def test_chang_step_cap_above_limit_is_bad_input(self, tmp_path, capsys, monkeypatch):
+        # Z_7 x Z_11 x Z_13: a tiny kappa puts the energy-floor cap near 2e13
+        path = write_set(
+            tmp_path, "c.json", [7, 11, 13],
+            [[0, 10, 7], [4, 0, 10], [5, 5, 2], [5, 8, 2], [6, 0, 9]],
+        )
+        tiny = ["--input", path, "--kappa", "1/1000000000000", "--eta", "1/4"]
+        monkeypatch.setattr(cli, "CHANG_STEP_LIMIT", 3)
+        assert main(["chang", *tiny]) == 2
+        err = capsys.readouterr().err
+        assert "k_max 21197267467523 exceeds the chang step limit 3" in err
+        assert "had not stopped after 3 steps" in err
+        assert "Traceback" not in err
+        assert main(["chang", *tiny, "--k", "4"]) == 2
+        assert "k_max 4 exceeds the chang step limit 3" in capsys.readouterr().err
+        assert main(["chang", *tiny, "--k", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["k_max"] == 3
+        assert payload["results"]["kind"] == "decrement"
+        assert payload["results"]["path_length"] == 3
+
+    def test_chang_stopping_early_runs_past_step_limit(self, tmp_path, capsys):
+        # the subgroup {0} x Z_11 x {0} is invariant under its own elements, so
+        # the run stops at once however large the energy-floor cap is
+        path = write_set(
+            tmp_path, "h.json", [7, 11, 13], [[0, b, 0] for b in range(11)]
+        )
+        tiny = ["--input", path, "--kappa", "1/1000000000000", "--eta", "1/4"]
+        over = cli.CHANG_STEP_LIMIT + 1
+        for extra, k_max in (([], 18043438026067), (["--k", str(over)], over)):
+            assert main(["chang", *tiny, *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["k_max"] == k_max
+            assert payload["results"]["kind"] == "invariant"
+            assert payload["results"]["path_length"] == 0
+            assert payload["results"]["witness_count"] == 11
+
     def test_spectrum_report(self, tmp_path, capsys):
         path = write_set(tmp_path, "v.json", [2, 2], [[0, 0], [0, 1]])
         code = main(["spectrum", "--input", path, "--epsilon", "1/2"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statcover import (
     CharSet,
@@ -15,10 +16,10 @@ from statcover import (
     spectrum,
     subgroup_closure,
 )
-from statcover.fourier import DENSE_TRANSFORM_LIMIT
+from statcover.fourier import DENSE_TRANSFORM_LIMIT, _dft_matrix
 from statcover.functions import RationalFunc
 
-from oracles import all_coords, char_eval_oracle, dft_oracle
+from oracles import all_coords, annihilator_oracle, char_eval_oracle, dft_oracle
 
 from test_functions import rand_func, as_dict
 
@@ -64,6 +65,20 @@ class TestTransform:
         dense = dft(f, force_dense=True).values
         scale = max(1.0, float(np.abs(dense).max()))
         assert float(np.abs(fast - dense).max()) / scale <= 1e-9
+
+    @pytest.mark.parametrize("mods", [(3, 4), (2,) * 11])
+    def test_bitwise_equal_to_float_of_every_value(self, mods):
+        # the transform reads float(v) for every value, zeros included
+        spec = GroupSpec(mods)
+        rng = random.Random(6)
+        for _ in range(3):
+            f = rand_func(spec, rng, max_support=30)
+            vals = np.array([float(v) for v in f.values], dtype=np.float64)
+            if spec.order <= DENSE_TRANSFORM_LIMIT:
+                ref = _dft_matrix(spec) @ vals.astype(np.complex128)
+            else:
+                ref = np.fft.fftn(vals.reshape(spec.moduli)).reshape(-1)
+            assert np.array_equal(dft(f).values, ref)
 
 
 class TestParsevalAndConvolution:
@@ -193,3 +208,43 @@ class TestAnnihilator:
             V = subgroup_closure(GroupSet.from_elements(spec, gens))
             for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
                 assert annihilator(spectrum(indicator(V), eps)) == V
+
+
+ANNIHILATOR_GROUPS = [(64,), (4, 6), (2, 2, 4), (3, 9), (2,) * 6, (12, 18)]
+
+
+class TestAnnihilatorDifferential:
+    """annihilator (greedy generating set) against exact phases over all x."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_exact_phase_oracle(self, data):
+        mods = data.draw(st.sampled_from(ANNIHILATOR_GROUPS))
+        spec = GroupSpec(mods)
+        n = spec.order
+        size = data.draw(st.sampled_from([0, 1, 2, 3, 4, n // 3, n]))
+        chars = data.draw(
+            st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+        )
+        got = annihilator(CharSet(spec, frozenset(chars)))
+        oracle = annihilator_oracle(mods, [spec.character_at(c).coords for c in chars])
+        assert {e.coords for e in got} == oracle
+
+    @pytest.mark.parametrize("mods", ANNIHILATOR_GROUPS)
+    def test_full_dual_and_empty_set(self, mods):
+        spec = GroupSpec(mods)
+        assert annihilator(CharSet(spec, frozenset(range(spec.order)))).indices == {0}
+        assert len(annihilator(CharSet(spec, frozenset()))) == spec.order
+
+    @pytest.mark.parametrize("mods", ANNIHILATOR_GROUPS)
+    def test_subgroup_generated_by_chars_gives_same_annihilator(self, mods):
+        spec = GroupSpec(mods)
+        rng = random.Random(4)
+        for _ in range(6):
+            chars = rng.sample(range(spec.order), 3)
+            span = subgroup_closure(GroupSet(spec, frozenset(chars))).indices
+            got = annihilator(CharSet(spec, frozenset(chars)))
+            assert got == annihilator(CharSet(spec, span))
+            assert {e.coords for e in got} == annihilator_oracle(
+                mods, [spec.character_at(c).coords for c in chars]
+            )

@@ -1,12 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statcover import GroupMismatchError, GroupSpec, GroupSet, subgroup_closure
 from statcover.groups import closure_indices
 
-from oracles import closure_bfs
+from oracles import add_c, all_coords, closure_bfs
 
 small_moduli = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3)
 
@@ -196,3 +198,67 @@ class TestSubgroupClosure:
     def test_closure_indices_plain(self):
         spec = GroupSpec((5,))
         assert closure_indices(spec, [2]) == frozenset(range(5))
+
+
+SPAN_GROUPS = [(64,), (4, 6), (2, 2, 4), (3, 9), (2,) * 6, (12, 18)]
+
+
+class TestClosureDifferential:
+    """closure_indices (coset doubling) against the breadth-first oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_bfs_oracle(self, data):
+        mods = data.draw(st.sampled_from(SPAN_GROUPS))
+        spec = GroupSpec(mods)
+        gens = data.draw(
+            st.lists(st.integers(0, spec.order - 1), min_size=0, max_size=4)
+        )
+        got = closure_indices(spec, gens)
+        oracle = closure_bfs(mods, [spec.element_at(g).coords for g in gens])
+        assert {spec.element_at(i).coords for i in got} == oracle
+
+    def test_cyclic_2048_from_one(self):
+        spec = GroupSpec((2048,))
+        assert closure_indices(spec, [1]) == frozenset(range(2048))
+        assert closure_indices(spec, [3]) == frozenset(range(2048))
+        assert closure_indices(spec, [512]) == frozenset({0, 512, 1024, 1536})
+
+    @pytest.mark.parametrize("mods", SPAN_GROUPS)
+    def test_generators_inside_span_and_repeated(self, mods):
+        spec = GroupSpec(mods)
+        rng = random.Random(3)
+        for _ in range(8):
+            base = [rng.randrange(spec.order) for _ in range(2)]
+            span = closure_indices(spec, base)
+            inside = rng.sample(sorted(span), min(3, len(span)))
+            assert closure_indices(spec, base + inside) == span
+            assert closure_indices(spec, base + base + [0]) == span
+            oracle = closure_bfs(mods, [spec.element_at(g).coords for g in base + inside])
+            assert {spec.element_at(i).coords for i in span} == oracle
+
+
+class TestTranslateTable:
+    @pytest.mark.parametrize("mods", [(2, 3, 4), (7,), (2,) * 5, (6, 10), (3, 3, 3), (4, 6)])
+    def test_matches_shift_indices_for_every_x(self, mods):
+        spec = GroupSpec(mods)
+        for x in range(spec.order):
+            table = spec._translate_table(x)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, spec.shift_indices(spec._arange, x))
+
+    def test_table_cannot_write_into_the_cached_place_values(self):
+        spec = GroupSpec((7,))
+        table = spec._translate_table(3)
+        with pytest.raises(ValueError):
+            table[0] = 0
+        assert spec._translate_table(3).tolist() == [3, 4, 5, 6, 0, 1, 2]
+
+    def test_matches_coordinate_addition(self):
+        mods = (3, 4, 2)
+        spec = GroupSpec(mods)
+        coords = all_coords(mods)
+        for x in range(spec.order):
+            table = spec._translate_table(x).tolist()
+            xc = spec.element_at(x).coords
+            assert [coords[i] for i in table] == [add_c(mods, y, xc) for y in coords]
