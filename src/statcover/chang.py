@@ -12,9 +12,9 @@ parallelogram identity
 For h = 1_A the energy never falls below |A|^2 / |G|, which forces the
 invariant outcome within ceil(log(|G|/|A|) / log(1/(1-kappa/4))) steps.
 
-Along the path every function is an integer array over the whole group
-divided by D 2^l, with D the common denominator of h and l the step count,
-so the iteration keeps that pair (num, den) instead of Fraction values.
+Each step is functions.average_with_translate on exact integer numerators
+over D 2^l (D the denominator of h, l the step count), and all of A is
+tested at once by the translation-defect kernel functions._Translates.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .functions import RationalFunc, average_with_translate, mu_tuple, convolve
-from .groups import GroupElement, GroupSpec, require_same_spec
+from .functions import RationalFunc, _Translates, average_with_translate, convolve, mu_tuple
+from .groups import GroupElement, require_same_spec
 from .sets import GroupSet
 
 __all__ = [
@@ -48,109 +46,30 @@ class ChangOutcome:
     kind 'decrement': the step cap was reached; energies[i] is the exact
     energy after i steps and each successive entry is at most (1 - kappa/4)
     times the previous one.
+    func is h * mu_path, the function after the last step, in both cases.
     """
 
     kind: str
     path: tuple[GroupElement, ...]
     energies: tuple[Fraction, ...]
     witnesses: GroupSet | None
+    func: RationalFunc
 
     @property
     def l(self) -> int:
         return len(self.path)
 
 
-_INT64_BOUND = 2**63
-_BLOCK_ENTRIES = 2**18  # entries per row block of the |A| x |G| defect table
-_TABLE_ENTRIES = 2**22  # translate index tables kept across steps up to this size
+def _passing(
+    translates: _Translates, g: RationalFunc, kappa: Fraction, energy: Fraction
+) -> set[int]:
+    """{x : ||g - tau_x g||_2^2 < kappa ||g||_2^2} with energy = ||g||_2^2.
 
-
-def _fit(num: np.ndarray) -> np.ndarray:
-    """num as int64 while 4 |G| max|num|^2 < 2**63, else as Python ints.
-
-    The bound covers every value the kernel forms from num: a difference
-    of two entries is at most 2 max|num|, its square at most 4 max|num|^2,
-    a row sum of squares at most 4 |G| max|num|^2, and the next averaging
-    step at most doubles max|num|.
+    The kernel returns den^2 ||g - tau_x g||_2^2 as Python ints, so one
+    Fraction cut compares them all exactly.
     """
-    m = int(np.abs(num).max())
-    dtype = np.int64 if 4 * num.size * m * m < _INT64_BOUND else object
-    return num.astype(dtype, copy=False)
-
-
-def _numerators(h: RationalFunc) -> tuple[np.ndarray, int]:
-    """h as (num, den) with h = num / den and den the common denominator."""
-    den = math.lcm(*(h.values[i].denominator for i in h.support))
-    num = np.zeros(h.spec.order, dtype=object)
-    for i in h.support:
-        v = h.values[i]
-        num[i] = v.numerator * (den // v.denominator)
-    return _fit(num), den
-
-
-def _average(
-    spec: GroupSpec, num: np.ndarray, den: int, x: GroupElement
-) -> tuple[np.ndarray, int]:
-    """One step g <- (g + tau_{-x} g) / 2 on g = num / den."""
-    back = spec._translate_table((-x).index)
-    return _fit(num + num[back]), 2 * den
-
-
-def _average_along(
-    h: RationalFunc, path: tuple[GroupElement, ...]
-) -> tuple[np.ndarray, int]:
-    """h * mu_path as (num, den)."""
-    num, den = _numerators(h)
-    for x in path:
-        num, den = _average(h.spec, num, den, x)
-    return num, den
-
-
-def _from_numerators(spec: GroupSpec, num: np.ndarray, den: int) -> RationalFunc:
-    """The RationalFunc num / den, building a Fraction only where num is nonzero."""
-    vals = [Fraction(0)] * spec.order
-    for i in np.flatnonzero(num).tolist():
-        vals[i] = Fraction(int(num[i]), den)
-    return RationalFunc(spec, tuple(vals))
-
-
-def _sum_sq(num: np.ndarray) -> int:
-    return int((num * num).sum())
-
-
-class _Translates:
-    """Index tables y -> y + x for x in xs, in row blocks of at most
-    _BLOCK_ENTRIES entries (one row when |G| exceeds it).  The blocks are
-    built once and kept while the whole table fits _TABLE_ENTRIES; a larger
-    table is rebuilt block by block on every pass, so memory stays bounded.
-    """
-
-    def __init__(self, spec: GroupSpec, xs: list[int]):
-        self.spec = spec
-        self.xs = xs
-        self.rows = max(1, _BLOCK_ENTRIES // spec.order)
-        keep = len(xs) * spec.order <= _TABLE_ENTRIES
-        self._kept = list(self._build()) if keep else None
-
-    def _build(self):
-        spec = self.spec
-        for s in range(0, len(self.xs), self.rows):
-            chunk = self.xs[s : s + self.rows]
-            yield np.stack([spec._translate_table(x) for x in chunk])
-
-    def passing(self, num: np.ndarray, kappa: Fraction) -> set[int]:
-        """{x : ||g - tau_x g||_2^2 < kappa ||g||_2^2} for g = num / den.
-
-        The common den^2 cancels, so with kappa = p/q the exact test is
-        q sum (num - num[y + x])^2 < p sum num^2, compared in Python ints.
-        """
-        cut = kappa.numerator * _sum_sq(num)
-        q = kappa.denominator
-        defects: list[int] = []
-        for table in self._kept if self._kept is not None else self._build():
-            d = num[table] - num
-            defects.extend((d * d).sum(axis=1).tolist())
-        return {x for x, s in zip(self.xs, defects) if q * s < cut}
+    cut = kappa * energy * g.den * g.den
+    return {x for x, s in zip(translates.xs, translates.sums(g, 2)) if s < cut}
 
 
 def invariant_set(
@@ -163,10 +82,10 @@ def invariant_set(
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     if h.is_zero():
         raise ValueError("h must not be identically zero")
+    g = h
     for e in a:
-        require_same_spec(h, e)
-    num, _ = _average_along(h, tuple(a))
-    passing = _Translates(A.spec, sorted(A.indices)).passing(num, kappa)
+        g = average_with_translate(g, e)
+    passing = _passing(_Translates(A.spec, sorted(A.indices)), g, kappa, g.l2_norm_sq())
     return GroupSet(A.spec, frozenset(passing))
 
 
@@ -274,9 +193,9 @@ def chang_iterate(
     spec = h.spec
     need = eta * len(A)
     translates = _Translates(spec, sorted(A.indices))
-    num, den = _numerators(h)
+    g = h
     path: list[GroupElement] = []
-    energies = [Fraction(_sum_sq(num), den * den)]
+    energies = [g.l2_norm_sq()]
     while True:
         if len(path) >= k_max:
             # the dichotomy only admits invariant stops strictly below the cap
@@ -285,17 +204,19 @@ def chang_iterate(
                 path=tuple(path),
                 energies=tuple(energies),
                 witnesses=None,
+                func=g,
             )
-        passing = translates.passing(num, kappa)
+        passing = _passing(translates, g, kappa, energies[-1])
         if len(passing) >= need:
             return ChangOutcome(
                 kind="invariant",
                 path=tuple(path),
                 energies=tuple(energies),
                 witnesses=GroupSet(spec, frozenset(passing)),
+                func=g,
             )
         x = next(i for i in translates.xs if i not in passing)
         elem = spec.element_at(x)
         path.append(elem)
-        num, den = _average(spec, num, den, elem)
-        energies.append(Fraction(_sum_sq(num), den * den))
+        g = average_with_translate(g, elem)
+        energies.append(g.l2_norm_sq())

@@ -36,6 +36,11 @@ EXIT_VERIFY_FAILED = 3
 
 SET_ELEMENT_CAP = 512  # larger sets serialize as size plus digest only
 
+# Largest group order a command computes in: functions, tables and masks
+# hold an entry per element (the README gives peak RSS at the limit).
+# `gen --kind random|independent` allocates nothing per element.
+MAX_COMPUTE_ORDER = 2**20
+
 # Most steps `chang` runs: numerators gain one bit per step, so the cost of
 # a step grows with the step count (1000 steps on a 5-element set in a group
 # of order 1001 take about 3 s on one core).  A run still going at the limit
@@ -66,6 +71,16 @@ def parse_group(text: str) -> GroupSpec:
     return GroupSpec(moduli)
 
 
+def _computable(spec: GroupSpec) -> GroupSpec:
+    """spec, unless its order is past the order budget of MAX_COMPUTE_ORDER."""
+    if spec.order > MAX_COMPUTE_ORDER:
+        raise SetFileError(
+            f"group order {spec.order} exceeds the limit {MAX_COMPUTE_ORDER} "
+            "for commands that compute in the group"
+        )
+    return spec
+
+
 def parse_set_file(path: str | Path) -> tuple[GroupSpec, GroupSet]:
     """Load and validate an instance file, rejecting out-of-range coordinates
     and duplicate elements."""
@@ -86,6 +101,7 @@ def parse_set_file(path: str | Path) -> tuple[GroupSpec, GroupSet]:
         spec = GroupSpec(tuple(int(m) for m in payload["group"]))
     except (TypeError, ValueError) as exc:
         raise SetFileError(f"{path}: bad group: {exc}") from None
+    _computable(spec)
     seen: set[int] = set()
     for pos, coords in enumerate(payload["elements"]):
         if not isinstance(coords, (list, tuple)):
@@ -187,6 +203,8 @@ def _emit_csv(rows: list[dict[str, Any]], header: list[str], output: str | None)
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
+    if args.kind not in ("random", "independent"):
+        _computable(spec)
     kwargs: dict[str, Any] = {"seed": args.seed}
     if args.size is not None:
         kwargs["size"] = args.size
@@ -234,7 +252,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         return EXIT_OK if all(c.holds for c in checks) else EXIT_VERIFY_FAILED
     if not args.group:
         raise SetFileError("cover needs --input or --group")
-    spec = parse_group(args.group)
+    spec = _computable(parse_group(args.group))
     rows = []
     all_hold = True
     for family in FAMILIES:
@@ -413,7 +431,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    spec = parse_group(args.group)
+    spec = _computable(parse_group(args.group))
     t0 = time.time()
     results = run_all_suites(spec, args.seed, trials=args.trials)
     report = {

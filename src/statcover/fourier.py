@@ -101,10 +101,9 @@ def dft(f: RationalFunc, *, force_dense: bool = False) -> DualFunc:
     """
     spec = f.spec
     vals = np.zeros(spec.order, dtype=np.float64)
-    # int / int is correctly rounded, exactly as float(Fraction)
-    vals[f.support_array] = [
-        f.values[i].numerator / f.values[i].denominator for i in f.support
-    ]
+    # int / int is correctly rounded, so each entry is float(Fraction(n, den))
+    den = f.den
+    vals[f.support_array] = [n / den for n in f.num[f.support_array].tolist()]
     if force_dense or spec.order <= DENSE_TRANSFORM_LIMIT:
         out = _dft_matrix(spec) @ vals.astype(np.complex128)
     else:

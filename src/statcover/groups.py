@@ -191,19 +191,13 @@ class GroupSpec:
         return "Z" + "xZ".join(str(m) for m in self.moduli)
 
 
-def _validate_coords(spec: GroupSpec, coords: tuple[int, ...]) -> None:
-    if len(coords) != spec.rank:
-        raise ValueError(
-            f"expected {spec.rank} coordinates, got {len(coords)}"
-        )
-    for c, m in zip(coords, spec.moduli):
-        if not 0 <= c < m:
-            raise ValueError(f"coordinate {c} out of range [0, {m})")
-
-
 @dataclass(frozen=True)
-class GroupElement:
-    """One group element, stored as reduced coordinates."""
+class _Coords:
+    """Reduced coordinates in a group, with their canonical index.
+
+    Dataclass equality also compares the class, so an element never equals
+    a character with the same coordinates.
+    """
 
     spec: GroupSpec
     coords: tuple[int, ...]
@@ -211,7 +205,11 @@ class GroupElement:
     def __post_init__(self) -> None:
         coords = tuple(int(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
-        _validate_coords(self.spec, coords)
+        if len(coords) != self.spec.rank:
+            raise ValueError(f"expected {self.spec.rank} coordinates, got {len(coords)}")
+        for c, m in zip(coords, self.spec.moduli):
+            if not 0 <= c < m:
+                raise ValueError(f"coordinate {c} out of range [0, {m})")
 
     @cached_property
     def index(self) -> int:
@@ -219,6 +217,11 @@ class GroupElement:
         for c, w in zip(self.coords, self.spec._weights):
             total += c * int(w)
         return total
+
+
+@dataclass(frozen=True)
+class GroupElement(_Coords):
+    """One group element, stored as reduced coordinates."""
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         require_same_spec(self, other)
@@ -255,27 +258,12 @@ class GroupElement:
 
 
 @dataclass(frozen=True)
-class Character:
+class Character(_Coords):
     """A character of the group; self.coords indexes the dual group.
 
     Evaluation follows gamma(x) = exp(2*pi*i * sum_j coords_j * x_j / m_j),
     so the dual group is again Z_m1 x ... x Z_mn under the same indexing.
     """
-
-    spec: GroupSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        _validate_coords(self.spec, coords)
-
-    @cached_property
-    def index(self) -> int:
-        total = 0
-        for c, w in zip(self.coords, self.spec._weights):
-            total += c * int(w)
-        return total
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)

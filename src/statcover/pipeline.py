@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .chang import (
-    ChangOutcome,
-    _average_along,
-    _from_numerators,
-    chang_iterate,
-    energy_floor_steps,
-)
+from .chang import ChangOutcome, chang_iterate, energy_floor_steps
 from .covering import CoverCertificate, statistical_cover
 from .fourier import annihilator, spectrum
 from .functions import (
@@ -250,10 +244,10 @@ def _stage_checks(stage: AlmostInvariantResult) -> list[CheckRecord]:
             "function-support", len(f.support), len(A + V), "subset", support_ok
         )
     )
-    l1f = f.l1_norm()
-    bad = [
-        x for x in sorted(witnesses.indices) if f.translation_defect(x) > stage.eps * l1f
-    ]
+    cut = stage.eps * f.l1_norm()
+    xs = sorted(witnesses.indices | stage.good.indices)
+    moved = dict(zip(xs, f.translation_defects(xs)))
+    bad = [x for x in sorted(witnesses.indices) if moved[x] > cut]
     checks.append(
         CheckRecord(
             "witnesses-near-invariant",
@@ -264,7 +258,7 @@ def _stage_checks(stage: AlmostInvariantResult) -> list[CheckRecord]:
             detail="witnesses must land in the good set",
         )
     )
-    good_ok = all(f.translation_defect(x) <= stage.eps * l1f for x in stage.good.indices)
+    good_ok = all(moved[x] <= cut for x in stage.good.indices)
     checks.append(
         CheckRecord(
             "good-set-invariance",
@@ -312,10 +306,10 @@ def almost_invariant_pair(
         )
 
     V = subgroup_closure(GroupSet(spec, frozenset(e.index for e in outcome.path)))
-    num, den = _average_along(indicator(A), outcome.path)
-    f = _from_numerators(spec, num * num, den * den)
-    l1f = f.l1_norm()
-    good_idx = frozenset(x for x in A.indices if f.translation_defect(x) <= eps * l1f)
+    f = outcome.func.square()
+    cut = eps * f.l1_norm()
+    xs = sorted(A.indices)
+    good_idx = frozenset(x for x, d in zip(xs, f.translation_defects(xs)) if d <= cut)
     stage = AlmostInvariantResult(
         A=A,
         eps=eps,
@@ -358,10 +352,10 @@ def annihilator_containment_check(
         raise LemmaHypothesisError(f"r * eps = {r * eps} exceeds 1")
     if eps <= 0:
         raise LemmaHypothesisError("eps must be positive")
-    l1 = g.l1_norm()
-    for a in sorted(A.indices):
-        moved = g.translation_defect(a)
-        if moved > eps * l1:
+    cut = eps * g.l1_norm()
+    xs = sorted(A.indices)
+    for a, moved in zip(xs, g.translation_defects(xs)):
+        if moved > cut:
             raise LemmaHypothesisError(
                 f"translate by element index {a} moves g by {moved} > eps * l1"
             )
@@ -408,9 +402,10 @@ def spec_annihilator_bound(
         raise LemmaHypothesisError("g must be non-negative and not identically zero")
     if not g.support_set().issubset(A_prime):
         raise LemmaHypothesisError("g must be supported on A_prime")
-    l1h = h.l1_norm()
-    for a in sorted(A_prime.indices):
-        if h.translation_defect(a) > eps * l1h:
+    cut = eps * h.l1_norm()
+    xs = sorted(A_prime.indices)
+    for a, moved in zip(xs, h.translation_defects(xs)):
+        if moved > cut:
             raise LemmaHypothesisError(
                 f"translate by element index {a} moves h by more than eps * l1"
             )
@@ -553,7 +548,9 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
         )
     )
 
-    fixed = sum(1 for v in V1.indices if h.translation_defect(v) == 0)
+    xs = sorted(V1.indices | report.invariance_set.indices)
+    moved_by = dict(zip(xs, h.translation_defects(xs)))
+    fixed = sum(1 for v in V1.indices if moved_by[v] == 0)
     checks.append(
         CheckRecord(
             "h-subgroup-invariance",
@@ -566,8 +563,7 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
     )
 
     l1f = f.l1_norm()
-    moved = [h.translation_defect(z) for z in sorted(report.invariance_set.indices)]
-    worst_move = max(moved) if moved else Fraction(0)
+    worst_move = max((moved_by[z] for z in report.invariance_set.indices), default=Fraction(0))
     checks.append(
         CheckRecord(
             "h-translate-invariance",

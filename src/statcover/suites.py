@@ -579,8 +579,9 @@ def containment_suite(n_runs: int = 100, seed: int = 1) -> SuiteResult:
             g = convolve(noise, uniform_measure(V))
         r = spec.exponent
         eps = rng.choice([Fraction(1, r), Fraction(1, 2 * r), Fraction(1, 4 * r)])
-        l1 = g.l1_norm()
-        good = frozenset(a for a in range(spec.order) if g.translation_defect(a) <= eps * l1)
+        cut = eps * g.l1_norm()
+        moved = g.translation_defects(range(spec.order))
+        good = frozenset(a for a, d in enumerate(moved) if d <= cut)
         A = GroupSet(spec, good)
         ok = annihilator_containment_check(g, A, eps)
         res.record(ok, f"run{i} {spec!r} style{style} eps={eps}: containment")

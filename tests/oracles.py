@@ -99,6 +99,24 @@ def l2_sq_oracle(values):
     return sum((v * v for v in values.values()), Fraction(0))
 
 
+def l1_oracle(values):
+    return sum((abs(v) for v in values.values()), Fraction(0))
+
+
+def inner_oracle(f, g):
+    """sum_y f(y) g(y) on dicts keyed by coordinate tuples."""
+    return sum((v * g.get(y, Fraction(0)) for y, v in f.items()), Fraction(0))
+
+
+def defect_oracle(mods, values, x, p):
+    """||f - tau_x f||_p^p by a full sum over the group."""
+    moved = translate_oracle(mods, values, x)
+    return sum(
+        (abs(values.get(y, Fraction(0)) - moved[y]) ** p for y in all_coords(mods)),
+        Fraction(0),
+    )
+
+
 def energy_oracle(mods, A, tuple_a):
     """||1_A * mu_a||_2^2 by full convolution."""
     ind = {tuple(a): Fraction(1) for a in A}

@@ -18,7 +18,7 @@ from statcover import (
     invariant_set,
     subgroup_closure,
 )
-from statcover import chang
+from statcover import chang, functions
 from statcover.functions import RationalFunc
 
 from oracles import chang_oracle
@@ -188,7 +188,7 @@ def _assert_same(out, oracle):
 
 
 class TestIntegerKernel:
-    """The (num, den) iteration against a Fraction replay over the whole group."""
+    """The integer-numerator iteration against a Fraction replay over the whole group."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -216,10 +216,9 @@ class TestIntegerKernel:
         pairs = {i: 1 for i in A.indices}
         out, oracle = _run_both(spec, pairs, A.indices, Fraction(1, 1000), Fraction(1), 100)
         _assert_same(out, oracle)
-        start, _ = chang._numerators(indicator(A))
-        end, den = chang._average_along(indicator(A), out.path)
-        assert start.dtype == np.int64 and end.dtype == object
-        assert den == 2 ** out.l and out.l > 40
+        start, end = indicator(A), out.func
+        assert start.num.dtype == np.int64 and end.num.dtype == object
+        assert end.den == 2 ** out.l and out.l > 40
 
     def test_signed_values_at_the_int64_edge(self):
         # |G| max|num|^2 = 2**62 fits int64, but the differences reach
@@ -236,7 +235,7 @@ class TestIntegerKernel:
 
     def test_several_row_blocks(self):
         spec = GroupSpec((1024,))
-        rows = chang._BLOCK_ENTRIES // spec.order
+        rows = functions._BLOCK_ENTRIES // spec.order
         a_indices = random.Random(7).sample(range(spec.order), 300)
         assert len(a_indices) > rows
         pairs = {i: 1 for i in range(600)}
@@ -257,13 +256,13 @@ class TestIntegerKernel:
         h = indicator(GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=8)))))
         args = (h, A, Fraction(1, 3), Fraction(1, 2), 6)
         kept = chang_iterate(*args)
-        budgets = (chang._BLOCK_ENTRIES, chang._TABLE_ENTRIES)
+        budgets = (functions._BLOCK_ENTRIES, functions._TABLE_ENTRIES)
         try:
             # one row per block, nothing kept across steps
-            chang._BLOCK_ENTRIES, chang._TABLE_ENTRIES = 1, 0
+            functions._BLOCK_ENTRIES, functions._TABLE_ENTRIES = 1, 0
             rebuilt = chang_iterate(*args)
         finally:
-            chang._BLOCK_ENTRIES, chang._TABLE_ENTRIES = budgets
+            functions._BLOCK_ENTRIES, functions._TABLE_ENTRIES = budgets
         assert rebuilt == kept
 
 

@@ -249,6 +249,56 @@ class TestOtherCommands:
         assert "statistical-covering" in names and "pipeline-driver" in names
 
 
+# a 3-element set in Z_2^30, whose order is past cli.MAX_COMPUTE_ORDER
+Z2_30 = [[0] * 30, [1] + [0] * 29, [0, 1] + [0] * 28]
+
+
+class TestOrderBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "--delta", "1/2"],
+            ["chang", "--kappa", "1/2", "--eta", "1/2"],
+            ["spectrum", "--epsilon", "1/2"],
+            ["pipeline"],
+        ],
+    )
+    def test_set_file_commands_past_the_limit(self, tmp_path, capsys, argv):
+        path = write_set(tmp_path, "big.json", [2] * 30, Z2_30)
+        assert main(argv + ["--input", path]) == 2
+        err = capsys.readouterr().err
+        assert f"group order {2**30} exceeds the limit {cli.MAX_COMPUTE_ORDER}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "--group", "2^30", "--delta", "1/2"],
+            ["verify-lemmas", "--group", "2^30"],
+            ["gen", "--group", "2^30", "--kind", "subgroup"],
+            ["gen", "--group", "2^30", "--kind", "coset_union"],
+        ],
+    )
+    def test_group_commands_past_the_limit(self, capsys, argv):
+        assert main(argv) == 2
+        assert f"group order {2**30} exceeds the limit" in capsys.readouterr().err
+
+    def test_gen_random_and_independent_are_exempt(self, tmp_path):
+        for kind, extra in (("random", ["--size", "3"]), ("independent", [])):
+            out = tmp_path / f"{kind}.json"
+            argv = ["gen", "--group", "2^30", "--kind", kind, "--output", str(out)]
+            assert main(argv + extra) == 0
+            assert len(json.loads(out.read_text())["elements"]) == (3 if extra else 31)
+
+    def test_the_limit_itself_is_computed_in(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_COMPUTE_ORDER", 8)
+        at = write_set(tmp_path, "at.json", [8], [[0], [1], [3]])
+        past = write_set(tmp_path, "past.json", [16], [[0], [1], [3]])
+        assert main(["spectrum", "--input", at, "--epsilon", "1/2"]) == 0
+        assert main(["spectrum", "--input", past, "--epsilon", "1/2"]) == 2
+        assert "group order 16 exceeds the limit 8" in capsys.readouterr().err
+
+
 class TestJsonForm:
     def test_non_finite_floats_become_strings(self):
         assert cli.to_jsonable(float("inf")) == "inf"

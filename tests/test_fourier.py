@@ -118,7 +118,7 @@ class TestSpectrum:
         rng = random.Random(8)
         for _ in range(5):
             f = rand_func(spec, rng)
-            f = RationalFunc(spec, tuple(abs(v) for v in f.values))
+            f = RationalFunc.from_values(spec, (abs(v) for v in f.values))
             if f.is_zero():
                 continue
             assert 0 in spectrum(f, Fraction(1)).indices

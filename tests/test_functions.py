@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,10 @@ from statcover.groups import GroupMismatchError
 from oracles import (
     all_coords,
     convolve_oracle,
+    defect_oracle,
     eq2_lhs_oracle,
+    inner_oracle,
+    l1_oracle,
     l2_sq_oracle,
     mu_oracle,
     translate_oracle,
@@ -124,8 +128,7 @@ class TestTranslate:
         assert f.translate(x).l2_norm_sq() == f.l2_norm_sq()
 
     def test_sparse_and_dense_paths_match_oracle(self):
-        # small support in a big group takes the sparse gather; a support
-        # above a quarter of the group takes the dense permutation
+        # small and large supports, both through the one translate table
         spec = GroupSpec((5, 5))
         rng = random.Random(17)
         sparse = RationalFunc.from_pairs(
@@ -154,7 +157,7 @@ class TestTranslationDefect:
     def test_matches_oracle_and_dense_difference(self, data):
         mods = data.draw(st.sampled_from(DEFECT_GROUPS))
         spec = GroupSpec(mods)
-        # sparse supports take the sparse translate path, dense ones the permutation
+        # sparse and dense supports
         lo, hi = data.draw(st.sampled_from([(0, 3), (spec.order // 2, spec.order)]))
         pairs = data.draw(
             st.dictionaries(
@@ -240,8 +243,8 @@ class TestConvolve:
         for _ in range(5):
             f = rand_func(spec, rng)
             g = rand_func(spec, rng)
-            f = RationalFunc(spec, tuple(abs(v) for v in f.values))
-            g = RationalFunc(spec, tuple(abs(v) for v in g.values))
+            f = RationalFunc.from_values(spec, (abs(v) for v in f.values))
+            g = RationalFunc.from_values(spec, (abs(v) for v in g.values))
             assert convolve(f, g).l1_norm() == f.l1_norm() * g.l1_norm()
 
     def test_spec_mismatch(self):
@@ -361,3 +364,144 @@ class TestAverageWithTranslate:
         a = spec.element((2,))
         step = Fraction(1, 2) * (point_mass(spec.identity()) + point_mass(a))
         assert average_with_translate(f, a) == convolve(f, step)
+
+
+REPR_GROUPS = [(2, 2, 2), (3, 5), (4, 4), (12,), (2, 6)]
+# scales that move the numerators across the int64 bound 4 |G| max|num|^2 < 2**63,
+# directly or through the common denominator of two operands
+SCALES = [Fraction(1), Fraction(2**31), Fraction(2**62), Fraction(1, 2**62), Fraction(3, 2**40)]
+
+
+@st.composite
+def scaled_pairs(draw, spec):
+    scale = draw(st.sampled_from(SCALES))
+    pairs = draw(
+        st.dictionaries(
+            st.integers(0, spec.order - 1),
+            st.fractions(min_value=-5, max_value=5, max_denominator=12),
+            max_size=spec.order,
+        )
+    )
+    return {i: v * scale for i, v in pairs.items()}
+
+
+def by_coords(spec, pairs):
+    return {spec.element_at(i).coords: Fraction(v) for i, v in pairs.items() if v}
+
+
+def pointwise(mods, op, *dicts):
+    return {y: op(*(d.get(y, Fraction(0)) for d in dicts)) for y in all_coords(mods)}
+
+
+def assert_matches(f, oracle):
+    """Same values as the oracle, with the dtype the int64 rule picks."""
+    assert as_dict(f) == {c: v for c, v in oracle.items() if v}
+    fits = 4 * f.spec.order * f.peak**2 < 2**63
+    assert f.num.dtype == (np.int64 if fits else object)
+    assert not f.num.flags.writeable
+
+
+class TestExactRepresentation:
+    """Every RationalFunc operation against the dict oracles."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_oracles(self, data):
+        mods = data.draw(st.sampled_from(REPR_GROUPS))
+        spec = GroupSpec(mods)
+        fp, gp = data.draw(scaled_pairs(spec)), data.draw(scaled_pairs(spec))
+        f, g = RationalFunc.from_pairs(spec, fp), RationalFunc.from_pairs(spec, gp)
+        fd, gd = by_coords(spec, fp), by_coords(spec, gp)
+        c = data.draw(st.sampled_from([Fraction(-3, 7), 2**40, Fraction(5, 2**50), 0]))
+        assert_matches(f + g, pointwise(mods, lambda a, b: a + b, fd, gd))
+        assert_matches(f - g, pointwise(mods, lambda a, b: a - b, fd, gd))
+        assert_matches(c * f, pointwise(mods, lambda a: c * a, fd))
+        assert_matches(f * c, pointwise(mods, lambda a: c * a, fd))
+        assert_matches(f.square(), pointwise(mods, lambda a: a * a, fd))
+        x = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
+        assert_matches(f.translate_index(x.index), translate_oracle(mods, fd, x.coords))
+        assert_matches(convolve(f, g), convolve_oracle(mods, fd, gd))
+        for got, oracle in (
+            (f.inner(g), inner_oracle(fd, gd)),
+            (f.mass(), sum(fd.values(), Fraction(0))),
+            (f.l1_norm(), l1_oracle(fd)),
+            (f.l2_norm_sq(), l2_sq_oracle(fd)),
+        ):
+            assert type(got) is Fraction and got == oracle
+        xs = data.draw(st.lists(st.integers(0, spec.order - 1), max_size=6))
+        for p in (1, 2):
+            got = f.translation_defects(xs, p)
+            assert all(type(d) is Fraction for d in got)
+            assert got == [defect_oracle(mods, fd, spec.element_at(y).coords, p) for y in xs]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mu_tuple_matches_oracle(self, data):
+        spec = GroupSpec(data.draw(st.sampled_from(REPR_GROUPS)))
+        idx = st.integers(0, spec.order - 1)
+        elems = [spec.element_at(i) for i in data.draw(st.lists(idx, max_size=5))]
+        mu = mu_tuple(spec, elems)
+        assert_matches(mu.func, mu_oracle(spec.moduli, [e.coords for e in elems]))
+
+    def test_each_operation_crosses_into_python_ints(self):
+        # 4 |G| m^2 = 2**62 keeps f in int64; 2m, m^2 and a 2**40 rescale do not fit
+        spec = GroupSpec((4,))
+        mods, m = spec.moduli, 2**29
+        f = RationalFunc.from_pairs(spec, {0: m, 1: -m, 3: 7})
+        g = RationalFunc.from_pairs(spec, {1: Fraction(1, 2**40), 2: Fraction(-3, 2**40)})
+        fd, gd = as_dict(f), as_dict(g)
+        assert f.num.dtype == np.int64 and g.num.dtype == np.int64
+        sq = f.square()
+        crossing = [
+            (f + f, pointwise(mods, lambda a: 2 * a, fd)),
+            (f - (-1) * f, pointwise(mods, lambda a: 2 * a, fd)),
+            (f + g, pointwise(mods, lambda a, b: a + b, fd, gd)),
+            (3 * f, pointwise(mods, lambda a: 3 * a, fd)),
+            (sq, pointwise(mods, lambda a: a * a, fd)),
+            (convolve(f, f), convolve_oracle(mods, fd, fd)),
+            (sq.translate_index(1), translate_oracle(mods, as_dict(sq), (1,))),
+        ]
+        for got, oracle in crossing:
+            assert got.num.dtype == object
+            assert_matches(got, oracle)
+        assert sq.inner(f) == inner_oracle(as_dict(sq), fd)
+        assert (sq.mass(), sq.l1_norm(), sq.l2_norm_sq()) == (
+            sum(as_dict(sq).values()), l1_oracle(as_dict(sq)), l2_sq_oracle(as_dict(sq))
+        )
+        for p in (1, 2):
+            assert sq.translation_defects([0, 1, 2, 3], p) == [
+                defect_oracle(mods, as_dict(sq), (y,), p) for y in range(4)
+            ]
+        # and back: cancellation leaves numerators that fit again
+        assert (sq - sq).num.dtype == np.int64 and (sq - sq).is_zero()
+        elems = [spec.element((1,))] * 33  # numerators up to 2**33 over 2**33
+        mu = mu_tuple(spec, elems)
+        assert mu.func.num.dtype == object
+        assert_matches(mu.func, mu_oracle(mods, [e.coords for e in elems]))
+
+    def test_unreduced_denominators_compare_equal(self):
+        spec = GroupSpec((3,))
+        a = RationalFunc(spec, np.array([2, -4, 0]), 4)
+        b = RationalFunc(spec, [1, -2, 0], 2)
+        c = RationalFunc.from_values(spec, [Fraction(1, 2), -1, 0])
+        big = RationalFunc(spec, [2**70, -(2**71), 0], 2**71)
+        assert a.num.dtype == np.int64 and big.num.dtype == object
+        assert a == b == c == big and big == a
+        assert len({a, b, c, big}) == 1
+        assert a.values == big.values == (Fraction(1, 2), Fraction(-1), Fraction(0))
+        assert a != RationalFunc(spec, [1, -2, 1], 2)
+        assert RationalFunc.zero(spec) != RationalFunc.zero(GroupSpec((3, 2))) and a != 0
+
+    def test_numerators_are_integers_and_read_only(self):
+        spec = GroupSpec((3,))
+        with pytest.raises(TypeError):
+            RationalFunc(spec, (Fraction(1, 2), 0, 0))
+        with pytest.raises(TypeError):
+            RationalFunc(spec, np.array([0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="positive"):
+            RationalFunc(spec, [1, 0, 0], 0)
+        with pytest.raises(ValueError, match="expected 3 values"):
+            RationalFunc.from_values(spec, [1, 2])
+        f = indicator(GroupSet.full(spec))
+        with pytest.raises(ValueError):
+            f.num[0] = 5

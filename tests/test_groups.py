@@ -157,6 +157,19 @@ class TestCharacters:
         gamma = spec.character((3, 2))
         assert all(abs(abs(gamma(x)) - 1) <= 1e-12 for x in spec.elements())
 
+    def test_shares_validation_and_index_with_elements(self):
+        spec = GroupSpec((5, 4))
+        for i in range(spec.order):
+            x, gamma = spec.element_at(i), spec.character_at(i)
+            assert x.index == gamma.index == i and x.coords == gamma.coords
+            assert x != gamma and gamma != x
+            assert hash(gamma) == hash(spec.character(gamma.coords))
+        for make in (spec.element, spec.character):
+            with pytest.raises(ValueError, match="out of range"):
+                make((5, 0))
+            with pytest.raises(ValueError, match="expected 2 coordinates"):
+                make((1,))
+
 
 class TestSubgroupClosure:
     def test_empty_generates_identity(self):

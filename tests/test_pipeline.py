@@ -24,7 +24,7 @@ from statcover import (
 from statcover.functions import RationalFunc, average_with_translate
 from statcover.pipeline import _headline_comparison
 
-from oracles import closure_bfs, petridis_scan_oracle
+from oracles import closure_bfs, convolve_oracle, mu_oracle, petridis_scan_oracle
 
 
 class TestPetridisSubset:
@@ -169,7 +169,12 @@ class TestAlmostInvariantPair:
             g = indicator(A)
             for e in stage.chang.path:
                 g = average_with_translate(g, e)
+            assert stage.chang.func == g
             assert stage.f == g.square()
+            path = [e.coords for e in stage.chang.path]
+            ind = {e.coords: Fraction(1) for e in A}
+            oracle = convolve_oracle(mods, ind, mu_oracle(mods, path))
+            assert all(stage.f.value_at(spec.element(c)) == v * v for c, v in oracle.items())
 
     def test_eps_validation(self):
         spec = GroupSpec((4,))
