@@ -24,7 +24,7 @@ from .covering import statistical_cover, verify_covered
 from .fourier import annihilator, spectrum
 from .functions import indicator
 from .groups import GroupSpec
-from .pipeline import CheckRecord, PipelineCheckError, PipelineReport, theorem_driver
+from .pipeline import EXHAUSTIVE_SUBSET_CAP, CheckRecord, PipelineCheckError, PipelineReport, theorem_driver
 from .sets import GroupSet, generate_instance
 from .suites import FAMILIES, run_all_suites, _instance_for
 
@@ -179,23 +179,22 @@ def _set_digest(spec: GroupSpec, A: GroupSet) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _emit(report: dict[str, Any], output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _write(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict[str, Any], output: str | None) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
 
 
 def _emit_csv(rows: list[dict[str, Any]], header: list[str], output: str | None) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(row[h]) for h in header))
-    text = "\n".join(lines) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", output)
 
 
 # subcommands -----------------------------------------------------------------
@@ -224,6 +223,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_cover(args: argparse.Namespace) -> int:
     delta = _parse_fraction(args.delta)
     if args.input:
+        if args.format == "csv":
+            raise SetFileError("--format csv applies to the --group sweep only")
         spec, A = parse_set_file(args.input)
         t0 = time.time()
         cert = statistical_cover(A, A, delta)
@@ -464,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--group", required=True)
@@ -480,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=str, default=None)
     p.add_argument("--delta", type=str, required=True)
     p.add_argument("--count", type=int, default=50)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=_cmd_cover)
 
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full audited driver run")
     p.add_argument("--input", required=True)
-    p.add_argument("--cap", type=int, default=18)
+    p.add_argument("--cap", type=int, default=EXHAUSTIVE_SUBSET_CAP)
     common(p)
     p.set_defaults(func=_cmd_pipeline)
 
@@ -517,10 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SetFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SetFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

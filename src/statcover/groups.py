@@ -92,8 +92,9 @@ class GroupSpec:
     @cached_property
     def _grid(self) -> np.ndarray:
         """Coordinates of every element index, shape (order, rank)."""
-        idx = np.arange(self.order, dtype=np.int64)
-        return (idx[:, None] // self._weights[None, :]) % self._mods[None, :]
+        # reduce in place, so the build peaks at the grid plus one arange
+        grid = np.arange(self.order, dtype=np.int64)[:, None] // self._weights
+        return np.remainder(grid, self._mods, out=grid)
 
     @cached_property
     def _arange(self) -> np.ndarray:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .chang import ChangOutcome, chang_iterate, energy_floor_steps
 from .covering import CoverCertificate, statistical_cover
 from .fourier import annihilator, spectrum
@@ -26,12 +28,7 @@ from .functions import (
     uniform_measure,
 )
 from .groups import GroupSpec, require_same_spec
-from .sets import (
-    GroupSet,
-    doubling_constant,
-    subgroup_closure,
-    translate_masks,
-)
+from .sets import GroupSet, doubling_constant, subgroup_closure, sumset
 
 __all__ = [
     "CheckRecord",
@@ -51,6 +48,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_SUBSET_CAP = 18
+# Most uint64 words in one block of the exhaustive Petridis table (512 KiB).
+_SCAN_BLOCK_WORDS = 2**16
 INVARIANCE_SCALE = 8  # covering parameter is the invariance parameter over this
 
 
@@ -91,81 +90,82 @@ class PetridisResult:
 
 def petridis_subset(
     A: GroupSet,
-    mode: str = "exhaustive",
     cap: int = EXHAUSTIVE_SUBSET_CAP,
     *,
     within: GroupSet | None = None,
 ) -> PetridisResult:
     """Non-empty Z minimizing |A+Z| / |Z| over subsets of `within` (default A).
 
-    Exhaustive mode scans all non-empty subsets (candidate pool capped);
-    the fallback mode scans the singletons plus the full pool.  Ties break
-    toward smaller |Z|, then the lexicographically least member list;
-    ties_broken counts the other subsets that achieved the optimal ratio.
+    A pool of at most `cap` elements is scanned exhaustively over all its
+    non-empty subsets; a larger pool is scored over its singletons and the
+    full pool only.  Ties break toward smaller |Z|, then the
+    lexicographically least member list; ties_broken counts the other
+    scored subsets that achieved the optimal ratio.
+
+    The scan gives subset id bit i to elems[n - 1 - i], so among subsets of
+    one size the larger id has the lexicographically smaller member list.
+    The translates w + A are bitmasks over A + W packed into uint64 words,
+    and the union of every subset is built by doubling,
+    acc[2^i : 2^(i+1)] = acc[: 2^i] | row_i, one block of ids at a time;
+    each block holds at most _SCAN_BLOCK_WORDS words.
     """
-    if within is None:
-        within = A
+    if not 0 <= cap <= EXHAUSTIVE_SUBSET_CAP:
+        raise ValueError(f"cap {cap} must lie in [0, {EXHAUSTIVE_SUBSET_CAP}]")
+    within = A if within is None else within
     require_same_spec(A, within)
     if not A.indices or not within.indices:
         raise ValueError("A and the candidate pool must be non-empty")
-    spec = A.spec
-    elems = sorted(within.indices)
+    spec, elems = A.spec, sorted(within.indices)
     n = len(elems)
-    masks = dict(zip(elems, translate_masks(A, elems)))
+    if n > cap:
+        # every singleton scores |A + {w}| / 1 = |A|, so one sumset decides
+        # between the least singleton and the whole pool
+        full, a = len(sumset(A, within)), len(A)
+        if full < n * a:
+            Z, ratio, ties = within, Fraction(full, n), 0
+        else:
+            Z, ratio = GroupSet(spec, frozenset(elems[:1])), Fraction(a)
+            ties = n - 1 + (n > 1 and full == n * a)
+        return PetridisResult(Z, ratio, ties, "singletons_and_A", n + (n > 1))
 
-    # best is (|A+Z|, |Z|, members); ratios compare by cross-multiplication
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    eq_count = 0
+    shifted = np.stack([spec.shift_indices(A.index_array, w) for w in reversed(elems)])
+    union, pos = np.unique(shifted, return_inverse=True)
+    words = -(-len(union) // 64)
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    bits[np.arange(n)[:, None], pos.reshape(n, -1)] = True
+    rows = np.packbits(bits, axis=1).view(np.uint64)
+    k = min(n, max(0, (_SCAN_BLOCK_WORDS // words).bit_length() - 1))
+    low_size = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
+    by_size = [np.flatnonzero(low_size == z) for z in range(k + 1)]
+    acc = np.empty((1 << k, words), dtype=np.uint64)
 
-    def consider(members: tuple[int, ...], acc_mask: int) -> None:
-        nonlocal best, eq_count
-        size, z = acc_mask.bit_count(), len(members)
-        if best is None or size * best[1] < best[0] * z:
-            eq_count = 1
-            best = (size, z, members)
-        elif size * best[1] == best[0] * z:
-            eq_count += 1
-            if (z, members) < best[1:]:
-                best = (size, z, members)
+    # per |Z|: least union size, how many ids reach it, and the largest such id
+    least, count, top = [len(union) + 1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for high in range(1 << (n - k)):
+        high_bits = [k + i for i in range(n - k) if high >> i & 1]
+        acc[0] = np.bitwise_or.reduce(rows[high_bits], axis=0)
+        for i in range(k):
+            np.bitwise_or(acc[: 1 << i], rows[i], out=acc[1 << i : 2 << i])
+        sizes = np.bitwise_count(acc).sum(axis=1, dtype=np.uint32)
+        for low_z, ids in enumerate(by_size):
+            z, s = low_z + len(high_bits), sizes[ids]
+            hits = np.flatnonzero(s == s.min())
+            if s[hits[0]] < least[z]:
+                least[z], count[z] = int(s[hits[0]]), 0
+            if s[hits[0]] == least[z]:
+                # later blocks and later ids are larger, so the last hit wins
+                count[z] += len(hits)
+                top[z] = high << k | int(ids[hits[-1]])
 
-    if mode == "exhaustive":
-        if n > cap:
-            raise ValueError(
-                f"candidate pool of {n} elements exceeds the exhaustive subset "
-                f"cap {cap}; use mode='singletons_and_A'"
-            )
-        members: list[int] = []
-
-        def visit(i: int, acc_mask: int) -> None:
-            if i == n:
-                if members:
-                    consider(tuple(members), acc_mask)
-                return
-            visit(i + 1, acc_mask)
-            members.append(elems[i])
-            visit(i + 1, acc_mask | masks[elems[i]])
-            members.pop()
-
-        visit(0, 0)
-        scanned = 2**n - 1
-    elif mode == "singletons_and_A":
-        for z in elems:
-            consider((z,), masks[z])
-        full = 0
-        for z in elems:
-            full |= masks[z]
-        consider(tuple(elems), full)
-        scanned = n + 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    assert best is not None
+    ratio = min(Fraction(least[z], z) for z in range(1, n + 1))
+    tied = [z for z in range(1, n + 1) if least[z] * ratio.denominator == ratio.numerator * z]
+    members = frozenset(elems[n - 1 - i] for i in range(n) if top[tied[0]] >> i & 1)
     return PetridisResult(
-        Z=GroupSet(spec, frozenset(best[2])),
-        ratio=Fraction(best[0], best[1]),
-        ties_broken=eq_count - 1,
-        mode=mode,
-        candidates_scanned=scanned,
+        Z=GroupSet(spec, members),
+        ratio=ratio,
+        ties_broken=sum(count[z] for z in tied) - 1,
+        mode="exhaustive",
+        candidates_scanned=2**n - 1,
     )
 
 
@@ -176,8 +176,8 @@ def petridis_verify(
     require_same_spec(A, Z)
     if not Z.indices:
         raise ValueError("Z must be non-empty")
-    K = Fraction(len(A + Z), len(Z))
     az = A + Z
+    K = Fraction(len(az), len(Z))
     for C in C_family:
         require_same_spec(A, C)
         if not C.indices:
@@ -810,8 +810,7 @@ def theorem_driver(
     r = spec.exponent
     eta = _rationalize(1.0 / (4.0 * r * math.sqrt(math.e)))
 
-    mode = "exhaustive" if len(A) <= petridis_cap else "singletons_and_A"
-    pet = petridis_subset(A, mode=mode, cap=petridis_cap)
+    pet = petridis_subset(A, petridis_cap)
     Z = pet.Z
 
     stage1 = almost_invariant_pair(Z, eps, scale=scale)
@@ -829,8 +828,7 @@ def theorem_driver(
     loose_ann = annihilator(spectrum(g, loose_threshold))
 
     Z2 = stage2.good
-    mode3 = "exhaustive" if len(Z2) <= petridis_cap else "singletons_and_A"
-    pet3 = petridis_subset(A, mode=mode3, cap=petridis_cap, within=Z2)
+    pet3 = petridis_subset(A, petridis_cap, within=Z2)
     V3 = subgroup_closure(pet3.Z)
     av3 = A + V3
     coset_count = len(av3) // len(V3)

@@ -172,6 +172,25 @@ def petridis_scan_oracle(mods, A, pool=None):
     return best, winners
 
 
+def petridis_fallback_oracle(mods, A, pool):
+    """(best ratio, list of optimal subsets) over the singletons of the pool
+    and the full pool, each distinct subset scored once."""
+    pool = sorted(pool)
+    candidates = [(z,) for z in pool]
+    if len(pool) > 1:
+        candidates.append(tuple(pool))
+    best = None
+    winners = []
+    for Z in candidates:
+        ratio = Fraction(len(sumset_oracle(mods, A, Z)), len(Z))
+        if best is None or ratio < best:
+            best = ratio
+            winners = [Z]
+        elif ratio == best:
+            winners.append(Z)
+    return best, winners
+
+
 def coverage_count_oracle(mods, A, X, B, x):
     """|(x + B) & (X + B)| by plain set arithmetic."""
     xb = {add_c(mods, x, b) for b in B}

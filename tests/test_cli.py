@@ -156,6 +156,13 @@ class TestCover:
             bound = Fraction(int(fields[6]), int(fields[7]))
             assert Fraction(int(fields[5])) <= bound
 
+    def test_csv_for_a_single_input_is_bad_input(self, tmp_path, capsys):
+        path = write_set(tmp_path, "z7.json", [7], [[0], [1], [2]])
+        assert main(["cover", "--input", path, "--delta", "1/2", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "--format csv applies to the --group sweep only" in captured.err
+        assert captured.out == ""
+
     def test_failed_check_forces_exit_3(self, tmp_path, monkeypatch):
         path = write_set(tmp_path, "z7.json", [7], [[0], [1], [2]])
         monkeypatch.setattr(cli, "verify_covered", lambda *a, **k: (False, Fraction(0)))
@@ -226,6 +233,37 @@ class TestOtherCommands:
         assert code == 0
         assert payload["results"]["ratio"] == {"num": 1, "den": 1}
         assert all(c["holds"] for c in payload["checks"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--group", "2^3"],
+            ["chang", "--input", "A.json", "--kappa", "1", "--eta", "1"],
+            ["spectrum", "--input", "A.json", "--epsilon", "1/2"],
+            ["pipeline", "--input", "A.json"],
+            ["verify-lemmas", "--group", "2^3"],
+        ],
+    )
+    def test_format_is_a_cover_option_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["-1", "19"])
+    def test_pipeline_cap_past_the_limit_is_bad_input(self, tmp_path, capsys, cap):
+        path = write_set(tmp_path, "sub.json", [2, 4], [[0, 0], [0, 2]])
+        assert main(["pipeline", "--input", path, "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert f"cap {cap} must lie in [0, 18]" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_pipeline_cap_limits_accepted(self, tmp_path, capsys):
+        path = write_set(tmp_path, "sub.json", [2, 4], [[0, 0], [0, 2]])
+        assert cli.EXHAUSTIVE_SUBSET_CAP == 18
+        for cap, mode in (("0", "singletons_and_A"), ("18", "exhaustive")):
+            assert main(["pipeline", "--input", path, "--cap", cap]) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["petridis_mode"] == mode
 
     def test_verify_lemmas_small(self, tmp_path):
         out = tmp_path / "vl.json"

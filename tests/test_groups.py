@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,25 @@ class TestEnumeration:
             spec.element((0, 2))
         with pytest.raises(ValueError):
             spec.element_at(4)
+
+    def test_grid_matches_element_coordinates(self):
+        spec = GroupSpec((2, 3, 4))
+        assert spec._grid.dtype == np.int64
+        assert [tuple(row) for row in spec._grid.tolist()] == [
+            e.coords for e in spec.elements()
+        ]
+
+    def test_grid_build_peaks_at_grid_plus_arange(self):
+        spec = GroupSpec((2,) * 16)
+        spec._weights, spec._mods  # built outside the traced window
+        tracemalloc.start()
+        try:
+            grid = spec._grid
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (2**16, 16)
+        assert peak <= 1.1 * (grid.nbytes + 8 * spec.order)
 
 
 class TestExponentMinimality:

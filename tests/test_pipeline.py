@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statcover import (
     GroupSet,
@@ -21,10 +22,25 @@ from statcover import (
     theorem_driver,
     uniform_measure,
 )
+from statcover import pipeline
 from statcover.functions import RationalFunc, average_with_translate
 from statcover.pipeline import _headline_comparison
 
-from oracles import closure_bfs, convolve_oracle, mu_oracle, petridis_scan_oracle
+from oracles import (
+    closure_bfs,
+    convolve_oracle,
+    mu_oracle,
+    petridis_fallback_oracle,
+    petridis_scan_oracle,
+)
+
+
+def _least_winner(spec, winners):
+    """The tie-break winner: smallest size, then lexicographic member indices."""
+    return min(
+        (tuple(sorted(spec.index_of(c) for c in z)) for z in winners),
+        key=lambda t: (len(t), t),
+    )
 
 
 class TestPetridisSubset:
@@ -61,12 +77,7 @@ class TestPetridisSubset:
             best, winners = petridis_scan_oracle(spec.moduli, {e.coords for e in A})
             assert out.ratio == best
             assert out.ties_broken == len(winners) - 1
-            # tie-break winner: smallest size, then lexicographic members
-            expected = min(
-                (tuple(sorted(spec.index_of(c) for c in z)) for z in winners),
-                key=lambda t: (len(t), t),
-            )
-            assert tuple(sorted(out.Z.indices)) == expected
+            assert tuple(sorted(out.Z.indices)) == _least_winner(spec, winners)
 
     def test_candidate_pool_restriction(self):
         spec = GroupSpec((8,))
@@ -82,21 +93,108 @@ class TestPetridisSubset:
     def test_exhaustive_cap_directs_to_fallback(self):
         spec = GroupSpec((64,))
         A = generate_instance("random", spec, size=20, seed=1)
-        with pytest.raises(ValueError, match="singletons_and_A"):
-            petridis_subset(A, cap=18)
-        out = petridis_subset(A, mode="singletons_and_A")
+        out = petridis_subset(A, cap=18)
         assert out.mode == "singletons_and_A"
         assert out.candidates_scanned == len(A) + 1
+        assert petridis_subset(A) == out
+
+    @pytest.mark.parametrize("cap", [-1, 19])
+    def test_cap_outside_range_rejected(self, cap):
+        spec = GroupSpec((5,))
+        A = GroupSet.from_elements(spec, [(3,)])
+        with pytest.raises(ValueError, match=r"\[0, 18\]"):
+            petridis_subset(A, cap=cap)
 
     def test_fallback_considers_singletons_and_full(self):
         spec = GroupSpec((16,))
         A = GroupSet.from_elements(spec, [(0,), (1,), (2,)])
         full = petridis_subset(A)
-        fb = petridis_subset(A, mode="singletons_and_A")
+        fb = petridis_subset(A, cap=0)
+        assert fb.mode == "singletons_and_A"
         assert fb.ratio >= full.ratio
         options = [Fraction(len(A + GroupSet.singleton(z)), 1) for z in A]
         options.append(doubling_constant(A))
         assert fb.ratio == min(options)
+
+    def test_fallback_scores_a_one_element_pool_once(self):
+        spec = GroupSpec((5,))
+        A = GroupSet.from_elements(spec, [(3,)])
+        out = petridis_subset(A, cap=0)
+        assert out.mode == "singletons_and_A"
+        assert (out.Z, out.ratio) == (A, 1)
+        assert out.ties_broken == 0
+        assert out.candidates_scanned == 1
+
+    @given(
+        st.sampled_from([(12,), (2, 2, 2, 2), (3, 3), (2, 3, 4), (5, 5)]),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_random_pools(self, mods, restricted, fallback, data):
+        spec = GroupSpec(mods)
+        idx = st.integers(min_value=0, max_value=spec.order - 1)
+        A = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=6))))
+        pool = A
+        if restricted:
+            pool = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=10))))
+        cap = data.draw(st.integers(0, len(pool) - 1)) if fallback else 18
+        out = petridis_subset(A, cap=cap, within=pool if restricted else None)
+        oracle = petridis_fallback_oracle if fallback else petridis_scan_oracle
+        best, winners = oracle(
+            spec.moduli, [e.coords for e in A], [e.coords for e in pool]
+        )
+        assert out.mode == ("singletons_and_A" if fallback else "exhaustive")
+        assert out.ratio == best
+        assert out.ties_broken == len(winners) - 1
+        assert tuple(sorted(out.Z.indices)) == _least_winner(spec, winners)
+
+    def test_block_split_matches_one_block(self, monkeypatch):
+        spec = GroupSpec((4, 4, 4))
+        A = GroupSet(spec, frozenset({0, 21, 42}))
+        pool = GroupSet(spec, frozenset(range(0, 40, 4)))
+        one = petridis_subset(A, within=pool)
+        # 2**8 one-word rows per block: four blocks of the 2**10 subset ids
+        monkeypatch.setattr(pipeline, "_SCAN_BLOCK_WORDS", 2**8)
+        assert petridis_subset(A, within=pool) == one
+        monkeypatch.setattr(pipeline, "_SCAN_BLOCK_WORDS", 1)
+        assert petridis_subset(A, within=pool) == one
+
+    def test_eighteen_element_pool_recorded(self):
+        # recorded from the recursive scan this exhaustive table replaced
+        spec = GroupSpec((4, 4, 4))
+        A = GroupSet(spec, frozenset({0, 21, 42}))
+        pool = GroupSet(spec, frozenset(range(0, 64, 4)) | {1, 2})
+        assert len(pool) == 18
+        out = petridis_subset(A, within=pool)
+        assert sorted(out.Z.indices) == [1, 60]
+        assert out.ratio == 2
+        assert out.ties_broken == 2
+        assert out.candidates_scanned == 2**18 - 1
+
+    @pytest.mark.parametrize(
+        "A_idx, pool_idx",
+        [
+            # every sum distinct: the ratios tie at |A|, W ties with 500 singletons
+            ([0, 512], range(500)),
+            # W an interval: |A + W| < |W| |A|, W itself wins
+            ([0, 1, 7], range(3, 603)),
+        ],
+    )
+    def test_large_fallback_matches_closed_form(self, A_idx, pool_idx):
+        spec = GroupSpec((1024,))
+        A = GroupSet(spec, frozenset(A_idx))
+        pool = GroupSet(spec, frozenset(pool_idx))
+        out = petridis_subset(A, within=pool)
+        best, winners = petridis_fallback_oracle(
+            spec.moduli, [e.coords for e in A], [e.coords for e in pool]
+        )
+        assert out.mode == "singletons_and_A"
+        assert out.candidates_scanned == len(pool) + 1
+        assert out.ratio == best
+        assert out.ties_broken == len(winners) - 1
+        assert tuple(sorted(out.Z.indices)) == _least_winner(spec, winners)
 
 
 class TestPetridisVerify:
