@@ -10,11 +10,15 @@ covering certificate implies.  All comparisons are exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import sets
 from .functions import convolve, indicator
-from .sets import GroupSet, k_fold_sum, sumset, translate_masks
+from .sets import GroupSet, k_fold_sum, sumset, translate_rows
 from .groups import require_same_spec
 
 __all__ = [
@@ -51,6 +55,53 @@ class CoverCertificate:
         return Fraction(worst, len(self.B))
 
 
+def _counts(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """|row & mask| for each packed row, as int64, in blocks of sets._BLOCK_ENTRIES words."""
+    step = max(1, sets._BLOCK_ENTRIES // rows.shape[1])
+    return np.concatenate([
+        np.bitwise_count(rows[i : i + step] & mask).sum(axis=1, dtype=np.int64)
+        for i in range(0, len(rows), step)
+    ])
+
+
+def _popcount(mask: np.ndarray) -> int:
+    return int(np.bitwise_count(mask).sum(dtype=np.int64))
+
+
+_FIRST_WINDOW = 8  # rows counted at once right after an addition
+
+
+def _first_fit(rows: np.ndarray, need: int, union: np.ndarray, start: int) -> list[int]:
+    """Positions the first-fit greedy adds to `union` (updated in place).
+
+    Scanning in order from `start`, a row is added when |row & union| <
+    need.  The union only grows, so a row that was not added is never
+    added later, and each scan resumes after the last addition; that is
+    the same sequence as rescanning from the top at every step.  Rows are
+    counted in windows that start at _FIRST_WINDOW rows after an addition
+    and double while no row in them falls short, up to the block budget,
+    so an addition costs at most twice the rows it scans plus one first
+    window.
+    """
+    picked: list[int] = []
+    cap = max(1, sets._BLOCK_ENTRIES // rows.shape[1])
+    width = min(_FIRST_WINDOW, cap)
+    i = start
+    while i < len(rows):
+        counts = np.bitwise_count(rows[i : i + width] & union).sum(axis=1)
+        below = np.flatnonzero(counts < need)
+        if not below.size:
+            i += width
+            width = min(2 * width, cap)
+            continue
+        i += int(below[0])
+        picked.append(i)
+        union |= rows[i]
+        i += 1
+        width = min(_FIRST_WINDOW, cap)
+    return picked
+
+
 def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverCertificate:
     """Greedy covering: X subset of A with |(x+B) & (X+B)| >= (1-delta)|B| for all x in A.
 
@@ -64,31 +115,18 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
-    a_sorted = sorted(A.indices)
-    masks = dict(zip(a_sorted, translate_masks(B, a_sorted)))
+    a_sorted = A.index_array
+    rows = translate_rows(B, a_sorted)
     need = (1 - delta) * len(B)
+    # an integer count c has c < need exactly when c < ceil(need)
+    union = rows[0].copy()
+    picked = [0] + _first_fit(rows, math.ceil(need), union, 1)
+    chosen = a_sorted[picked].tolist()
 
-    x0 = a_sorted[0]
-    chosen = [x0]
-    union = masks[x0]
-    while True:
-        found = None
-        for x in a_sorted:
-            if (masks[x] & union).bit_count() < need:
-                found = x
-                break
-        if found is None:
-            break
-        chosen.append(found)
-        union |= masks[found]
-
-    ab_mask = 0
-    for m in masks.values():
-        ab_mask |= m
-    K = Fraction(ab_mask.bit_count(), len(B))
+    K = Fraction(_popcount(np.bitwise_or.reduce(rows, axis=0)), len(B))
     bound = (K - 1) / delta + 1
-    per_x = {x: (masks[x] & union).bit_count() for x in a_sorted}
-    valid = len(chosen) <= bound and all(c >= need for c in per_x.values())
+    per_x = dict(zip(a_sorted.tolist(), _counts(rows, union).tolist()))
+    valid = len(chosen) <= bound and min(per_x.values()) >= need
     if not valid:
         raise RuntimeError(
             "statistical covering invariant violated; this indicates a bug"
@@ -115,15 +153,11 @@ def ruzsa_cover(A: GroupSet, B: GroupSet) -> GroupSet:
     require_same_spec(A, B)
     if not A.indices or not B.indices:
         raise ValueError("covering needs non-empty A and B")
-    a_sorted = sorted(A.indices)
-    chosen: list[int] = []
-    union = 0
-    for x, m in zip(a_sorted, translate_masks(B, a_sorted)):
-        if m & union == 0:
-            chosen.append(x)
-            union |= m
-    X = GroupSet(A.spec, frozenset(chosen))
-    if len(X) * len(B) > len(A + B):
+    rows = translate_rows(B, A.index_array)
+    # a translate is added when it misses the union: |row & union| < 1
+    picked = _first_fit(rows, 1, np.zeros_like(rows[0]), 0)
+    X = GroupSet(A.spec, frozenset(A.index_array[picked].tolist()))
+    if len(X) * len(B) > _popcount(np.bitwise_or.reduce(rows, axis=0)):
         raise RuntimeError("ruzsa covering size bound violated; this indicates a bug")
     covered = sumset(X, B) - B
     if not A.issubset(covered):
@@ -149,12 +183,9 @@ def verify_covered(
     if not A.indices or not B.indices:
         raise ValueError("coverage check needs non-empty A and B")
     delta = Fraction(delta)
-    xb_mask = 0
-    for m in translate_masks(B, X.indices):
-        xb_mask |= m
-    need = (1 - delta) * len(B)
-    worst = min((m & xb_mask).bit_count() for m in translate_masks(B, sorted(A.indices)))
-    return (Fraction(worst) >= need, Fraction(worst, len(B)))
+    xb = np.bitwise_or.reduce(translate_rows(B, X.index_array), axis=0)
+    worst = int(_counts(translate_rows(B, A.index_array), xb).min())
+    return (worst >= (1 - delta) * len(B), Fraction(worst, len(B)))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ class CharSet:
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        idx = frozenset(int(i) for i in self.indices)
+        idx = frozenset(map(int, self.indices))
         object.__setattr__(self, "indices", idx)
         if idx and (min(idx) < 0 or max(idx) >= self.spec.order):
             raise ValueError("character index out of range")

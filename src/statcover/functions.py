@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .groups import GroupElement, GroupSpec, require_same_spec
-from .sets import GroupSet
+from .sets import _BLOCK_ENTRIES, GroupSet
 
 __all__ = [
     "RationalFunc",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _INT64_BOUND = 2**63
-_BLOCK_ENTRIES = 2**18  # entries per row block of an |xs| x |G| defect table
 _TABLE_ENTRIES = 2**22  # translate index tables kept across passes up to this size
 
 RationalLike = Fraction | int

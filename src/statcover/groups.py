@@ -97,6 +97,21 @@ class GroupSpec:
         return np.remainder(grid, self._mods, out=grid)
 
     @cached_property
+    def _wraps(self) -> np.ndarray:
+        """m_j w_j per coordinate: what a wrap of digit j takes off an index sum."""
+        return self._mods * self._weights
+
+    @cached_property
+    def _bit_fields(self) -> tuple[int, int] | None:
+        """(low, top) in a 2-group, where every place value is a power of two
+        and digit j is a bit field of the index: top has the highest bit of
+        each field set, low the others.  None in any other group."""
+        if self.order & (self.order - 1):
+            return None
+        top = sum(m * w // 2 for m, w in zip(self.moduli, self._weights.tolist()))
+        return (self.order - 1) ^ top, top
+
+    @cached_property
     def _arange(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.int64)
 
@@ -131,18 +146,39 @@ class GroupSpec:
 
     # vectorized index arithmetic ---------------------------------------------
 
+    def add_indices(self, x: np.ndarray, y: np.ndarray | int) -> np.ndarray:
+        """Indices of x + y, elementwise over the broadcast of the index arrays.
+
+        In a 2-group digit j is a bit field of the index, and the fields add
+        at once: clear each field's top bit, add, and restore the top bits by
+        xor, so no carry leaves a field and no digit is needed.  Otherwise
+        x + y = sum_j (x_j + y_j) w_j, less m_j w_j for each digit j with
+        y_j >= m_j - x_j.
+        """
+        fields = self._bit_fields
+        if fields:
+            low, top = fields
+            out = (x & low) + (y & low)
+            out ^= x & top
+            out ^= y & top
+            return out
+        room = self._mods - self._grid[x]
+        digits = self._grid[y]
+        out = x + y
+        for j, wrap in enumerate(self._wraps.tolist()):
+            np.subtract(out, wrap, out=out, where=digits[..., j] >= room[..., j])
+        return out
+
     def shift_indices(self, indices: np.ndarray, by: int) -> np.ndarray:
         """Indices of x + b for each index x in `indices`, b the index `by`."""
-        co = (self._grid[indices] + self._grid[by]) % self._mods
-        return co @ self._weights
+        return self.add_indices(indices, int(by))
 
     def negate_indices(self, indices: np.ndarray) -> np.ndarray:
         co = (-self._grid[indices]) % self._mods
         return co @ self._weights
 
     def add_index(self, i: int, j: int) -> int:
-        co = (self._grid[i] + self._grid[j]) % self._mods
-        return int(co @ self._weights)
+        return int(self.add_indices(np.array([i], dtype=np.int64), int(j))[0])
 
     @cached_property
     def _axis_cycles(self) -> tuple[tuple[np.ndarray, int, int], ...]:

@@ -27,10 +27,13 @@ __all__ = [
     "is_subgroup",
     "generate_instance",
     "indices_to_mask",
-    "translate_masks",
+    "translate_rows",
 ]
 
 INSTANCE_KINDS = ("random", "independent", "subgroup", "coset_union")
+
+
+_BLOCK_ENTRIES = 2**18  # entries per temporary block of the pair-sum and defect kernels
 
 
 def indices_to_mask(order: int, indices: Iterable[int]) -> int:
@@ -42,11 +45,45 @@ def indices_to_mask(order: int, indices: Iterable[int]) -> int:
     return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
 
 
-def translate_masks(B: GroupSet, xs: Iterable[int]) -> list[int]:
-    """Bitmask of the translate x + B for each element index x in xs, in order."""
+def _pair_sums(
+    spec: GroupSpec, xs: np.ndarray, ys: np.ndarray, row_entries: int = 0
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Indices of x + y for x in xs (rows) and y in ys (columns), in blocks.
+
+    Yields (rows, sums) with sums[i, j] = spec.add_indices of xs[rows][i]
+    and ys[cols][j] for one column chunk cols; every row slice is yielded
+    once per chunk, in order.  A block of sums, plus row_entries more
+    entries per row for the caller's own scratch, stays within
+    _BLOCK_ENTRIES (one row when a row alone exceeds it), and so do the
+    digits of a column chunk.
+    """
+    cols = max(1, min(len(ys), _BLOCK_ENTRIES // spec.rank))
+    rows = max(1, _BLOCK_ENTRIES // max(cols, row_entries))
+    for c in range(0, len(ys), cols):
+        y_part = ys[c : c + cols]
+        for r in range(0, len(xs), rows):
+            yield slice(r, r + rows), spec.add_indices(xs[r : r + rows, None], y_part)
+
+
+def translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Packed bitmasks of the translates x + B, one row per element index x in xs.
+
+    Shape (len(xs), ceil(|G| / 64)) of little-endian uint64 words: bit y
+    of a row is bit y % 64 of word y // 64, and the padding bits past |G|
+    are zero, so popcounts are exact.
+    """
     spec = B.spec
-    b_arr = B.index_array
-    return [indices_to_mask(spec.order, spec.shift_indices(b_arr, x).tolist()) for x in xs]
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    bits = -(-spec.order // 64) * 64
+    out = np.zeros((len(xs), bits // 64), dtype="<u8")
+    if not B.indices:
+        return out
+    for rows, sums in _pair_sums(spec, xs, B.index_array, bits):
+        block = np.zeros((len(sums), bits), dtype=bool)
+        sums += np.arange(0, block.size, bits)[:, None]  # flat positions in block
+        block.reshape(-1)[sums] = True
+        out[rows] |= np.packbits(block, axis=1, bitorder="little").view("<u8")
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,7 +94,7 @@ class GroupSet:
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        idx = frozenset(int(i) for i in self.indices)
+        idx = frozenset(map(int, self.indices))
         object.__setattr__(self, "indices", idx)
         if idx:
             lo, hi = min(idx), max(idx)
@@ -168,16 +205,26 @@ class GroupSet:
 
 
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
-    """{a + b : a in A, b in B}; empty if either operand is empty."""
+    """{a + b : a in A, b in B}; empty if either operand is empty.
+
+    Dense inputs (|A| |B| 8 >= |G|) scatter each block of sums into one
+    |G| bool mask; sparse ones sort the sums and drop adjacent repeats.
+    """
     require_same_spec(A, B)
     if not A.indices or not B.indices:
         return GroupSet.empty(A.spec)
-    small, big = (A, B) if len(A) <= len(B) else (B, A)
-    big_arr = big.index_array
-    acc: set[int] = set()
-    for i in small.indices:
-        acc.update(A.spec.shift_indices(big_arr, i).tolist())
-    return GroupSet(A.spec, frozenset(acc))
+    spec = A.spec
+    if len(A) * len(B) * 8 >= spec.order:
+        hit = np.zeros(spec.order, dtype=bool)
+        for _, sums in _pair_sums(spec, A.index_array, B.index_array):
+            hit[sums] = True
+        out = np.flatnonzero(hit)
+    else:
+        out = np.zeros(0, dtype=np.int64)
+        for _, sums in _pair_sums(spec, A.index_array, B.index_array):
+            both = np.sort(np.concatenate((out, sums.reshape(-1))))
+            out = both[np.concatenate(([True], both[1:] != both[:-1]))]
+    return GroupSet(spec, frozenset(out.tolist()))
 
 
 def k_fold_sum(X: GroupSet, k: int) -> GroupSet:

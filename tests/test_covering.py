@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statcover import (
     GroupSet,
@@ -13,6 +15,7 @@ from statcover import (
     verify_covered,
     verify_iterated_cover,
 )
+from statcover import covering
 from statcover.sets import indices_to_mask
 
 from oracles import (
@@ -204,6 +207,83 @@ class TestVerifyCovered:
         X = GroupSet.from_elements(spec, [(2,)])
         ok, _ = verify_covered(A, X, Fraction(1))
         assert ok
+
+
+TINY = Fraction(1, 10**30)
+
+
+def coords(S):
+    return {e.coords for e in S}
+
+
+class TestExtremeDeltas:
+    """delta = 1/10**30 needs full coverage and delta = 1 none; the threshold
+    is an exact integer, so neither may be rounded or cross-multiplied."""
+
+    def test_tiny_delta_needs_every_point(self):
+        spec, A = z7_interval()
+        cert = statistical_cover(A, A, TINY)
+        assert cert.trace == (0, 1, 2)
+        assert set(cert.per_x_coverage.values()) == {3}
+        assert verify_covered(A, GroupSet.from_elements(spec, [(0,), (1,)]), TINY) == (
+            False, Fraction(2, 3)
+        )
+
+    @given(st.sampled_from([(7,), (12,), (3, 3, 3), (2,) * 7]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_match_oracles(self, mods, data):
+        spec = GroupSpec(mods)
+        idx = st.integers(min_value=0, max_value=spec.order - 1)
+        A = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=8))))
+        B = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=8))))
+        for delta in (TINY, Fraction(1)):
+            cert = statistical_cover(A, B, delta)
+            oracle = statistical_cover_oracle(mods, coords(A), coords(B), delta)
+            assert [spec.element_at(i).coords for i in cert.trace] == oracle
+            for x, count in cert.per_x_coverage.items():
+                assert count == coverage_count_oracle(
+                    mods, coords(A), coords(cert.X), coords(B), spec.element_at(x).coords
+                )
+            X = GroupSet(spec, frozenset(data.draw(st.sets(idx, max_size=4))))
+            worst = min(
+                coverage_count_oracle(mods, coords(A), coords(X), coords(B), a.coords)
+                for a in A
+            )
+            assert verify_covered(A, X, delta, B=B) == (
+                worst >= (1 - delta) * len(B), Fraction(worst, len(B))
+            )
+
+
+class TestFirstFitWork:
+    @pytest.mark.parametrize("skipped", [0, 2048, 4095])
+    def test_work_and_calls_stay_bounded(self, skipped, monkeypatch):
+        # row i holds bit i alone, and the union already holds the bits of the
+        # first `skipped` rows: the scan passes them over, then picks every
+        # later row; counting a whole block after each pick would count about
+        # 8.4M rows of 64 words at skipped = 0
+        n = 4096
+        rows = np.zeros((n, n // 64), dtype="<u8")
+        rows[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n) % 64).astype("<u8")
+        union = np.bitwise_or.reduce(rows[:skipped], axis=0)
+        seen = {"calls": 0, "words": 0}
+        count = np.bitwise_count
+
+        def counted(a):
+            seen["calls"] += 1
+            seen["words"] += a.size
+            return count(a)
+
+        monkeypatch.setattr(np, "bitwise_count", counted)
+        picked = covering._first_fit(rows, 1, union, 0)
+        assert picked == list(range(skipped, n))
+        # windows double through the skipped rows and restart after each pick
+        assert seen["words"] <= (2 * n + 8 * len(picked)) * 64
+        assert seen["calls"] <= len(picked) + 2 * 12
+
+    def test_ruzsa_picks_every_disjoint_translate(self):
+        spec = GroupSpec((2,) * 12)
+        A = GroupSet.full(spec)
+        assert ruzsa_cover(A, GroupSet(spec, frozenset([0]))) == A
 
 
 class TestIteratedCover:

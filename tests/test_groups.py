@@ -271,6 +271,36 @@ class TestClosureDifferential:
             assert {spec.element_at(i).coords for i in span} == oracle
 
 
+class TestAddIndices:
+    # 2-groups with fields of one, two and three bits, and groups with other moduli
+    @given(
+        st.sampled_from([(2,) * 5, (16,), (2, 4, 8), (4, 4), (7,), (12,), (3, 3, 3), (2, 3, 4)]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_coordinate_addition(self, mods, data):
+        spec = GroupSpec(mods)
+        coords = all_coords(mods)
+        idx = st.integers(min_value=0, max_value=spec.order - 1)
+        xs = data.draw(st.lists(idx, min_size=1, max_size=6))
+        ys = data.draw(st.lists(idx, min_size=1, max_size=6))
+        sums = spec.add_indices(np.array(xs)[:, None], np.array(ys))
+        assert sums.dtype == np.int64 and sums.shape == (len(xs), len(ys))
+        for x, row in zip(xs, sums.tolist()):
+            assert [coords[s] for s in row] == [add_c(mods, coords[x], coords[y]) for y in ys]
+            assert spec.shift_indices(np.array(ys), x).tolist() == row
+            assert [spec.add_index(y, x) for y in ys] == row
+
+    def test_two_groups_never_build_the_grid(self):
+        spec = GroupSpec((2, 4, 8, 2))
+        span = closure_indices(spec, [5, 77, 100])
+        GroupSet(spec, span).shifted(3)
+        assert "_grid" not in vars(spec)
+        assert {spec.element_at(i).coords for i in span} == closure_bfs(
+            spec.moduli, [spec.element_at(g).coords for g in (5, 77, 100)]
+        )
+
+
 class TestTranslateTable:
     @pytest.mark.parametrize("mods", [(2, 3, 4), (7,), (2,) * 5, (6, 10), (3, 3, 3), (4, 6)])
     def test_matches_shift_indices_for_every_x(self, mods):

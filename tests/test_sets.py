@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from statcover import (
     GroupSet,
@@ -15,14 +17,31 @@ from statcover import (
     subgroup_closure,
     sumset,
 )
+from statcover import covering, sets, statistical_cover
 from statcover.groups import GroupMismatchError
-from statcover.sets import translate_masks
+from statcover.sets import translate_rows
 
 from oracles import k_fold_oracle, sumset_oracle
 
 
 def make_set(spec, coords):
     return GroupSet.from_elements(spec, coords)
+
+
+# orders 7, 12, 27, 64, 65, 120 and 128: rows of less than one word, exactly
+# one word, one bit past a word and two words; 2-groups and others; ranks 1 to 7
+KERNEL_GROUPS = [(7,), (12,), (3, 3, 3), (4, 4, 4), (5, 13), (2, 3, 4, 5), (2,) * 7]
+
+
+def row_int(row):
+    """A packed row as one Python int (bit y <-> element index y)."""
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def draw_set(data, spec, min_size=0, max_size=None):
+    idx = st.integers(min_value=0, max_value=spec.order - 1)
+    drawn = data.draw(st.sets(idx, min_size=min_size, max_size=max_size or spec.order))
+    return GroupSet(spec, frozenset(drawn))
 
 
 class TestSumset:
@@ -96,23 +115,110 @@ class TestSumset:
 
 
 class TestTranslateMasks:
-    @given(
-        st.sampled_from([(2, 2, 2), (3, 5), (4, 4), (12,), (2, 3, 4)]),
-        st.data(),
-    )
-    @settings(max_examples=60)
+    @given(st.sampled_from(KERNEL_GROUPS + [(2, 2, 2), (3, 5), (4, 4)]), st.data())
+    @settings(max_examples=80, deadline=None)
     def test_matches_sumset_oracle(self, mods, data):
         spec = GroupSpec(mods)
-        idx = st.integers(min_value=0, max_value=spec.order - 1)
-        B = GroupSet(spec, frozenset(data.draw(st.sets(idx, max_size=spec.order))))
-        xs = data.draw(st.lists(idx, max_size=6))
-        masks = translate_masks(B, xs)
-        assert len(masks) == len(xs)
+        B = draw_set(data, spec)
+        xs = data.draw(st.lists(st.integers(min_value=0, max_value=spec.order - 1), max_size=6))
+        rows = translate_rows(B, xs)
+        assert rows.dtype == np.dtype("<u8")
+        assert rows.shape == (len(xs), -(-spec.order // 64))
         b_coords = [e.coords for e in B]
-        for x, m in zip(xs, masks):
+        for x, row in zip(xs, rows):
+            m = row_int(row)
+            assert m >> spec.order == 0  # padding bits are zero
             members = {spec.element_at(i).coords for i in range(spec.order) if m >> i & 1}
             assert members == sumset_oracle(mods, [spec.element_at(x).coords], b_coords)
             assert m == B.shifted(x).mask
+
+    @given(st.sampled_from(KERNEL_GROUPS), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_entry_blocks_match_one_block(self, mods, data):
+        spec = GroupSpec(mods)
+        A = draw_set(data, spec, min_size=1, max_size=12)
+        B = draw_set(data, spec, min_size=1)
+        delta = data.draw(st.sampled_from([Fraction(1, 10**30), Fraction(1, 3), Fraction(1)]))
+
+        def run():
+            cert = statistical_cover(A, B, delta)
+            return (
+                translate_rows(B, A.index_array).tolist(), A + B, B + A,
+                cert, covering.verify_covered(A, cert.X, delta, B=B),
+                covering.ruzsa_cover(A, B),
+            )
+
+        one_block = run()
+        budget = sets._BLOCK_ENTRIES
+        try:
+            sets._BLOCK_ENTRIES = 1
+            blocked = run()
+        finally:
+            sets._BLOCK_ENTRIES = budget
+        assert blocked == one_block
+
+    @pytest.mark.parametrize("mods", [(2048,), (3,) * 7])  # 2-group path and digit path
+    def test_memory_stays_within_blocks(self, mods):
+        # 1536 x 1536 sums take 18 MiB kept whole; a block is at most 2**18
+        # int64 sums (2 MiB), and two blocks meet when one hands over
+        spec = GroupSpec(mods)
+        A = generate_instance("random", spec, size=1536, seed=5)
+        A.index_array, spec._grid  # built outside the traced window
+        tracemalloc.start()
+        try:
+            S = A + A
+            cert = statistical_cover(A, A, Fraction(1, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(S) == spec.order and cert.valid
+        assert peak <= 6 * 2**20
+
+
+    def test_digit_chunks_stay_within_blocks(self):
+        # all 59049 digits of B would take 4.5 MiB; a chunk of B holds at most
+        # 2**18 digit entries (2 MiB)
+        spec = GroupSpec((3,) * 10)
+        A, B = GroupSet(spec, frozenset([1, 500])), GroupSet.full(spec)
+        A.index_array, B.index_array, spec._grid  # built outside the traced window
+        tracemalloc.start()
+        try:
+            rows = translate_rows(B, A.index_array)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.bitwise_count(rows).sum(axis=1).tolist() == [spec.order] * 2
+        assert peak <= 3.5 * 2**20
+
+class TestDenseAndSparseSumset:
+    @pytest.mark.parametrize("dense", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, dense, data):
+        mods = data.draw(st.sampled_from(KERNEL_GROUPS if dense else KERNEL_GROUPS[3:]))
+        spec = GroupSpec(mods)
+        cap = None if dense else 4
+        A = draw_set(data, spec, min_size=1, max_size=cap)
+        B = draw_set(data, spec, min_size=1, max_size=cap)
+        assume((len(A) * len(B) * 8 >= spec.order) == dense)
+        got = {e.coords for e in A + B}
+        assert got == sumset_oracle(mods, [e.coords for e in A], [e.coords for e in B])
+
+    def test_carries_match_oracle(self):
+        rng = random.Random(3)
+        for mods in [(7,), (12,), (3, 3, 3), (5, 13), (2, 3, 4, 5)]:
+            spec = GroupSpec(mods)
+            for _ in range(4):
+                A, B = (
+                    generate_instance(
+                        "random", spec, size=rng.randint(1, spec.order), seed=rng.getrandbits(30)
+                    )
+                    for _ in range(2)
+                )
+                got = {e.coords for e in A + B}
+                assert got == sumset_oracle(mods, [e.coords for e in A], [e.coords for e in B])
+                rows = translate_rows(B, A.index_array)
+                assert [row_int(r) for r in rows] == [B.shifted(x).mask for x in sorted(A.indices)]
 
 
 class TestKFold:
