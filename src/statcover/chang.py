@@ -12,9 +12,22 @@ parallelogram identity
 For h = 1_A the energy never falls below |A|^2 / |G|, which forces the
 invariant outcome within ceil(log(|G|/|A|) / log(1/(1-kappa/4))) steps.
 
-Each step is functions.average_with_translate on exact integer numerators
-over D 2^l (D the denominator of h, l the step count), and all of A is
-tested at once by the translation-defect kernel functions._Translates.
+The function after l steps has integer numerators num over D 2^l (D the
+denominator of h).  Beside them the iteration keeps their autocorrelation
+N(x) = sum_y num(y) num(y + x) over the whole group, which decides every
+test at once: den^2 ||g - tau_x g||_2^2 = 2 (N(0) - N(x)) and the energy is
+N(0) / den^2.  A step along a sets num' = num + num(. - a) and
+N' = 2 N + N(. - a) + N(. + a), two gathers and adds over G.  The first N
+is summed from integer pair products over supp h.
+
+N is held in the dtype of the numerators it comes from.  |N(x)| <= N(0) =
+sum num^2 <= |G| max|num|^2, so every partial sum of an update is at most
+4 |G| max|num|^2, which functions._fits keeps below 2**63 whenever the
+numerators are int64; past that both are numpy object arrays of Python ints.
+
+Exact energies cost Theta(l^2) bits over l steps, as the numerators gain a
+bit per step, so long paths slow down: cyclic groups of exponent 243 or
+more, where the second-stage kappa is tiny, stay out of reach.
 """
 
 from __future__ import annotations
@@ -24,9 +37,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .functions import RationalFunc, _Translates, average_with_translate, convolve, mu_tuple
+import numpy as np
+
+from .functions import RationalFunc, average_with_translate, convolve, mu_tuple
 from .groups import GroupElement, require_same_spec
-from .sets import GroupSet
+from .sets import GroupSet, _pair_sums
 
 __all__ = [
     "ChangOutcome",
@@ -60,16 +75,50 @@ class ChangOutcome:
         return len(self.path)
 
 
-def _passing(
-    translates: _Translates, g: RationalFunc, kappa: Fraction, energy: Fraction
-) -> set[int]:
-    """{x : ||g - tau_x g||_2^2 < kappa ||g||_2^2} with energy = ||g||_2^2.
+def _autocorrelation(h: RationalFunc) -> np.ndarray:
+    """N(x) = sum_y num(y) num(y + x) for the numerators of h, exactly.
 
-    The kernel returns den^2 ||g - tau_x g||_2^2 as Python ints, so one
-    Fraction cut compares them all exactly.
+    Each pair (y, z) of supp h adds num(y) num(z) at x = z - y, in blocks
+    of at most sets._BLOCK_ENTRIES pairs.  A partial sum at x is at most
+    N(0) <= |G| max|num|^2 by Cauchy-Schwarz, so N fits the numerators' dtype.
     """
-    cut = kappa * energy * g.den * g.den
-    return {x for x, s in zip(translates.xs, translates.sums(g, 2)) if s < cut}
+    spec, supp = h.spec, h.support_array
+    vals = h.num[supp]
+    out = np.zeros(spec.order, dtype=h.num.dtype)
+    for rows, cols, diffs in _pair_sums(spec, spec.negate_indices(supp), supp):
+        np.add.at(out, diffs, vals[rows, None] * vals[cols])
+    return out
+
+
+def _step(g: RationalFunc, N: np.ndarray, a: int) -> tuple[RationalFunc, np.ndarray]:
+    """g * (delta_0 + delta_a) / 2 and its autocorrelation 2 N + N(. - a) + N(. + a),
+    for a an element index.
+
+    The function is functions.average_with_translate's step, num + num(. - a)
+    over 2 den, sharing its index table with the N update.
+    """
+    spec = g.spec
+    fwd = spec._translate_table(a)  # y -> y + a
+    back = np.empty_like(fwd)
+    back[fwd] = spec._arange  # y -> y - a
+    # every partial sum is at most 4 N(0) <= 4 |G| max|num|^2, which the
+    # numerators' dtype holds
+    N = N.astype(g.num.dtype, copy=False)
+    N = 2 * N + N[back] + N[fwd]
+    return RationalFunc(spec, g.num + g.num[back], 2 * g.den), N
+
+
+def _invariant(N: np.ndarray, xs: np.ndarray, kappa: Fraction) -> np.ndarray:
+    """Mask of the x in xs with ||g - tau_x g||_2^2 < kappa ||g||_2^2, N the
+    autocorrelation of g's numerators.
+
+    With kappa = p/q the test is 2q (N(0) - N(x)) < p N(0), that is
+    N(0) - N(x) <= (p N(0) - 1) // 2q in integers; the cut is at most
+    N(0) / 2, so it compares within N's dtype.
+    """
+    n0 = int(N[0])
+    cut = (kappa.numerator * n0 - 1) // (2 * kappa.denominator)
+    return N[0] - N[xs] <= cut
 
 
 def invariant_set(
@@ -82,11 +131,12 @@ def invariant_set(
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     if h.is_zero():
         raise ValueError("h must not be identically zero")
-    g = h
+    g, N = h, _autocorrelation(h)
     for e in a:
-        g = average_with_translate(g, e)
-    passing = _passing(_Translates(A.spec, sorted(A.indices)), g, kappa, g.l2_norm_sq())
-    return GroupSet(A.spec, frozenset(passing))
+        require_same_spec(h, e)
+        g, N = _step(g, N, e.index)
+    xs = A.index_array
+    return GroupSet(A.spec, frozenset(xs[_invariant(N, xs, kappa)].tolist()))
 
 
 def decrement_check(
@@ -192,31 +242,39 @@ def chang_iterate(
 
     spec = h.spec
     need = eta * len(A)
-    translates = _Translates(spec, sorted(A.indices))
-    g = h
+    xs = A.index_array
+    g, N = h, _autocorrelation(h)
     path: list[GroupElement] = []
-    energies = [g.l2_norm_sq()]
+    energies = [Fraction(int(N[0]), g.den * g.den)]
     while True:
         if len(path) >= k_max:
             # the dichotomy only admits invariant stops strictly below the cap
-            return ChangOutcome(
+            outcome = ChangOutcome(
                 kind="decrement",
                 path=tuple(path),
                 energies=tuple(energies),
                 witnesses=None,
                 func=g,
             )
-        passing = _passing(translates, g, kappa, energies[-1])
-        if len(passing) >= need:
-            return ChangOutcome(
+            break
+        passing = _invariant(N, xs, kappa)
+        failing = np.flatnonzero(~passing)
+        if len(xs) - len(failing) >= need:
+            outcome = ChangOutcome(
                 kind="invariant",
                 path=tuple(path),
                 energies=tuple(energies),
-                witnesses=GroupSet(spec, frozenset(passing)),
+                witnesses=GroupSet(spec, frozenset(xs[passing].tolist())),
                 func=g,
             )
-        x = next(i for i in translates.xs if i not in passing)
-        elem = spec.element_at(x)
-        path.append(elem)
-        g = average_with_translate(g, elem)
-        energies.append(g.l2_norm_sq())
+            break
+        x = int(xs[failing[0]])
+        path.append(spec.element_at(x))
+        g, N = _step(g, N, x)
+        energies.append(Fraction(int(N[0]), g.den * g.den))
+    if int(N[0]) != int((g.num * g.num).sum()):
+        raise AssertionError(
+            "autocorrelation N(0) differs from the energy of h * mu_path; "
+            "this indicates a bug"
+        )
+    return outcome

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _INT64_BOUND = 2**63
-_TABLE_ENTRIES = 2**22  # translate index tables kept across passes up to this size
 
 RationalLike = Fraction | int
 
@@ -211,9 +210,23 @@ class RationalFunc:
 
     def translation_defects(self, xs: Sequence[int], p: int = 1) -> list[Fraction]:
         """[||f - tau_x f||_p^p for x in xs] for p in {1, 2}, exactly, with
-        each x an element index."""
-        scale = self.den**p
-        return [Fraction(s, scale) for s in _Translates(self.spec, xs).sums(self, p)]
+        each x an element index.
+
+        The index tables y -> y + x are stacked in row blocks of at most
+        _BLOCK_ENTRIES entries (one row when |G| exceeds it).  Each row
+        sums at most 4 |G| max|num|^2, which the numerators' dtype holds.
+        """
+        if p not in (1, 2):
+            raise ValueError(f"p must be 1 or 2, got {p}")
+        spec, num, scale = self.spec, self.num, self.den**p
+        xs = [int(x) for x in xs]
+        rows = max(1, _BLOCK_ENTRIES // spec.order)
+        out: list[Fraction] = []
+        for s in range(0, len(xs), rows):
+            d = num[np.stack([spec._translate_table(x) for x in xs[s : s + rows]])] - num
+            sums = (np.abs(d) if p == 1 else d * d).sum(axis=1).tolist()
+            out.extend(Fraction(v, scale) for v in sums)
+        return out
 
     def translation_defect(self, x: int, p: int = 1) -> Fraction:
         """||f - tau_x f||_p^p for p in {1, 2}, exactly, with x an element index."""
@@ -226,38 +239,6 @@ class RationalFunc:
         )
         tail = ", ..." if len(self.support) > 6 else ""
         return f"RationalFunc[{self.spec!r}]{{{pts}{tail}}}"
-
-
-class _Translates:
-    """Index tables y -> y + x for x in xs, in row blocks of at most
-    _BLOCK_ENTRIES entries (one row when |G| exceeds it).  The blocks are
-    built once and kept while the whole table fits _TABLE_ENTRIES; a larger
-    table is rebuilt block by block on every pass, so memory stays bounded.
-    """
-
-    def __init__(self, spec: GroupSpec, xs: Iterable[int]):
-        self.spec = spec
-        self.xs = [int(x) for x in xs]
-        self.rows = max(1, _BLOCK_ENTRIES // spec.order)
-        keep = len(self.xs) * spec.order <= _TABLE_ENTRIES
-        self._kept = list(self._build()) if keep else None
-
-    def _build(self):
-        spec = self.spec
-        for s in range(0, len(self.xs), self.rows):
-            chunk = self.xs[s : s + self.rows]
-            yield np.stack([spec._translate_table(x) for x in chunk])
-
-    def sums(self, f: RationalFunc, p: int) -> list[int]:
-        """den^p ||f - tau_x f||_p^p for each x in xs, as Python ints."""
-        if p not in (1, 2):
-            raise ValueError(f"p must be 1 or 2, got {p}")
-        require_same_spec(self, f)
-        out: list[int] = []
-        for table in self._kept if self._kept is not None else self._build():
-            d = f.num[table] - f.num
-            out.extend((np.abs(d) if p == 1 else d * d).sum(axis=1).tolist())
-        return out
 
 
 def _ones(S: GroupSet) -> np.ndarray:

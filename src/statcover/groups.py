@@ -174,8 +174,9 @@ class GroupSpec:
         return self.add_indices(indices, int(by))
 
     def negate_indices(self, indices: np.ndarray) -> np.ndarray:
-        co = (-self._grid[indices]) % self._mods
-        return co @ self._weights
+        # digits of these indices only, so negation never builds _grid
+        digits = np.asarray(indices, dtype=np.int64)[..., None] // self._weights % self._mods
+        return (-digits % self._mods) @ self._weights
 
     def add_index(self, i: int, j: int) -> int:
         return int(self.add_indices(np.array([i], dtype=np.int64), int(j))[0])

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import sets
 from .chang import ChangOutcome, chang_iterate, energy_floor_steps
 from .covering import CoverCertificate, statistical_cover
 from .fourier import annihilator, spectrum
@@ -28,7 +29,7 @@ from .functions import (
     uniform_measure,
 )
 from .groups import GroupSpec, require_same_spec
-from .sets import GroupSet, doubling_constant, subgroup_closure, sumset
+from .sets import GroupSet, doubling_constant, subgroup_closure, sumset, translate_rows
 
 __all__ = [
     "CheckRecord",
@@ -169,22 +170,50 @@ def petridis_subset(
     )
 
 
+def _union_sizes(B: GroupSet, family: Sequence[GroupSet]) -> np.ndarray:
+    """|B + C| for each C in the family, from the packed rows of c + B.
+
+    The members of every C are laid end to end and their rows built in
+    chunks of at most sets._BLOCK_ENTRIES words.  Each chunk ORs together
+    the rows of one C with one reduceat; a C cut by a chunk boundary carries
+    its partial union into the next chunk.  An empty C has size 0.
+    """
+    members = [C.index_array for C in family]
+    owner = np.repeat(np.arange(len(family)), [m.size for m in members])
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *members])
+    words = -(-B.spec.order // 64)
+    step = max(1, sets._BLOCK_ENTRIES // words)
+    sizes = np.zeros(len(family), dtype=np.int64)
+    carry = np.zeros(words, dtype="<u8")
+    for s in range(0, flat.size, step):
+        own = owner[s : s + step]
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        unions = np.bitwise_or.reduceat(translate_rows(B, flat[s : s + step]), starts, axis=0)
+        if s and own[0] == owner[s - 1]:
+            unions[0] |= carry
+        sizes[own[starts]] = np.bitwise_count(unions).sum(axis=1, dtype=np.int64)
+        carry = unions[-1].copy()
+    return sizes
+
+
 def petridis_verify(
     A: GroupSet, Z: GroupSet, C_family: Sequence[GroupSet]
 ) -> bool:
-    """Check |A+Z+C| <= K |Z+C| exactly for each C, with K = |A+Z| / |Z|."""
+    """Check |A+Z+C| <= K |Z+C| exactly for each C, with K = |A+Z| / |Z|.
+
+    Every |A+Z+C| and |Z+C| is a union of packed translate rows
+    (_union_sizes); an empty C holds trivially.
+    """
     require_same_spec(A, Z)
     if not Z.indices:
         raise ValueError("Z must be non-empty")
-    az = A + Z
-    K = Fraction(len(az), len(Z))
     for C in C_family:
         require_same_spec(A, C)
-        if not C.indices:
-            continue
-        if len(az + C) > K * len(Z + C):
-            return False
-    return True
+    az = A + Z
+    # |A+Z+C| |Z| <= |A+Z| |Z+C| for every C at once, in Python ints
+    lhs = _union_sizes(az, C_family).astype(object) * len(Z)
+    rhs = _union_sizes(Z, C_family).astype(object) * len(az)
+    return bool(np.all(lhs <= rhs))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ __all__ = [
 INSTANCE_KINDS = ("random", "independent", "subgroup", "coset_union")
 
 
-_BLOCK_ENTRIES = 2**18  # entries per temporary block of the pair-sum and defect kernels
+_BLOCK_ENTRIES = 2**18  # entries per temporary block of the pair-sum, defect and family kernels
 
 
 def indices_to_mask(order: int, indices: Iterable[int]) -> int:
@@ -47,12 +47,12 @@ def indices_to_mask(order: int, indices: Iterable[int]) -> int:
 
 def _pair_sums(
     spec: GroupSpec, xs: np.ndarray, ys: np.ndarray, row_entries: int = 0
-) -> Iterator[tuple[slice, np.ndarray]]:
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """Indices of x + y for x in xs (rows) and y in ys (columns), in blocks.
 
-    Yields (rows, sums) with sums[i, j] = spec.add_indices of xs[rows][i]
-    and ys[cols][j] for one column chunk cols; every row slice is yielded
-    once per chunk, in order.  A block of sums, plus row_entries more
+    Yields (rows, cols, sums) with sums[i, j] = spec.add_indices of
+    xs[rows][i] and ys[cols][j]; every row slice is yielded once per
+    column chunk, in order.  A block of sums, plus row_entries more
     entries per row for the caller's own scratch, stays within
     _BLOCK_ENTRIES (one row when a row alone exceeds it), and so do the
     digits of a column chunk.
@@ -62,7 +62,8 @@ def _pair_sums(
     for c in range(0, len(ys), cols):
         y_part = ys[c : c + cols]
         for r in range(0, len(xs), rows):
-            yield slice(r, r + rows), spec.add_indices(xs[r : r + rows, None], y_part)
+            sums = spec.add_indices(xs[r : r + rows, None], y_part)
+            yield slice(r, r + rows), slice(c, c + cols), sums
 
 
 def translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -78,7 +79,7 @@ def translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
     out = np.zeros((len(xs), bits // 64), dtype="<u8")
     if not B.indices:
         return out
-    for rows, sums in _pair_sums(spec, xs, B.index_array, bits):
+    for rows, _, sums in _pair_sums(spec, xs, B.index_array, bits):
         block = np.zeros((len(sums), bits), dtype=bool)
         sums += np.arange(0, block.size, bits)[:, None]  # flat positions in block
         block.reshape(-1)[sums] = True
@@ -216,12 +217,12 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     spec = A.spec
     if len(A) * len(B) * 8 >= spec.order:
         hit = np.zeros(spec.order, dtype=bool)
-        for _, sums in _pair_sums(spec, A.index_array, B.index_array):
+        for _, _, sums in _pair_sums(spec, A.index_array, B.index_array):
             hit[sums] = True
         out = np.flatnonzero(hit)
     else:
         out = np.zeros(0, dtype=np.int64)
-        for _, sums in _pair_sums(spec, A.index_array, B.index_array):
+        for _, _, sums in _pair_sums(spec, A.index_array, B.index_array):
             both = np.sort(np.concatenate((out, sums.reshape(-1))))
             out = both[np.concatenate(([True], both[1:] != both[:-1]))]
     return GroupSet(spec, frozenset(out.tolist()))

@@ -166,7 +166,7 @@ def covering_suite(
 ) -> tuple[SuiteResult, list[tuple[str, CoverCertificate]]]:
     """Certificate size bound and coverage replay for every instance/delta."""
     res = SuiteResult("statistical-covering")
-    t0 = time.time()
+    t0 = time.perf_counter()
     certs: list[tuple[str, CoverCertificate]] = []
     for label, A in instances:
         for delta in deltas:
@@ -178,14 +178,14 @@ def covering_suite(
             )
             ok, frac = verify_covered(A, cert.X, delta)
             res.record(ok, f"{label} delta={delta}: coverage replay {frac}")
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res, certs
 
 
 def ruzsa_suite(instances: list[tuple[str, GroupSet]]) -> SuiteResult:
     """Disjoint translates, size bound, and difference-cover containment."""
     res = SuiteResult("ruzsa-covering")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for label, A in instances:
         X = ruzsa_cover(A, A)
         XA = X + A
@@ -198,7 +198,7 @@ def ruzsa_suite(instances: list[tuple[str, GroupSet]]) -> SuiteResult:
         res.record(
             A.issubset(XA - A), f"{label}: A not inside X + A - A"
         )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -215,7 +215,7 @@ def iterated_cover_suite(
     preconditions hold.
     """
     res = SuiteResult("iterated-cover")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for label, A in instances:
         if len(A) > max_set_size:
             continue
@@ -235,7 +235,7 @@ def iterated_cover_suite(
                     lhs >= rhs,
                     f"{label} delta={delta} k={k}: {lhs} < {rhs}",
                 )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -301,7 +301,7 @@ def _chain_family(A: GroupSet, X: GroupSet, delta: Fraction, k: int, seed: int):
 def chain_suite(n_instances: int = 6, seed: int = 1, k_max: int = 3) -> SuiteResult:
     """Exhaustive chain constructions: every S, every shift, small bases."""
     res = SuiteResult("chain-certificates")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for label, A, delta, X in _chain_bases(n_instances, seed, max_size=5):
         for k in range(1, k_max + 1):
             covering, width, p1, p2, inter = _chain_family(A, X, delta, k, seed)
@@ -341,7 +341,7 @@ def chain_suite(n_instances: int = 6, seed: int = 1, k_max: int = 3) -> SuiteRes
                     for li, l1, l2 in zip(inter.levels, p1.levels, p2.levels)
                 )
                 res.record(sub, f"{label} k={k} intersection: not a sub-chain")
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -356,7 +356,7 @@ def energy_suite(
     stated parameter range.
     """
     res = SuiteResult("energy-bound")
-    t0 = time.time()
+    t0 = time.perf_counter()
     half = Fraction(1, 2)
     for label, A, delta, X in _chain_bases(n_exhaustive, seed, max_size=5):
         for k in (1, 2, 3):
@@ -394,14 +394,14 @@ def energy_suite(
             chk.holds and not chk.precondition_failures,
             f"random {i} {spec!r} k={k} S={sorted(S)}: energy bound",
         )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
 def chang_suite(n_runs: int = 100, seed: int = 1) -> SuiteResult:
     """Parallelogram replay, witness counts, and the step cap on indicators."""
     res = SuiteResult("energy-decrement")
-    t0 = time.time()
+    t0 = time.perf_counter()
     pool = [GroupSpec((16,)), GroupSpec((2, 4)), GroupSpec((3, 3)), GroupSpec((2, 2, 2, 2)), GroupSpec((12,)), GroupSpec((64,)), GroupSpec((2, 4, 8))]
     kappas = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
     etas = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -448,7 +448,7 @@ def chang_suite(n_runs: int = 100, seed: int = 1) -> SuiteResult:
             ),
             f"{label}: decrement factor",
         )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -469,7 +469,7 @@ def fourier_suite(
 ) -> SuiteResult:
     """Parseval and convolution-theorem residuals on random rational functions."""
     res = SuiteResult("fourier-identities")
-    t0 = time.time()
+    t0 = time.perf_counter()
     specs = specs or [GroupSpec((2, 8)), GroupSpec((4, 8, 8)), GroupSpec((2, 2, 4, 4, 8, 8))]
     tol = 1e-9
     for spec in specs:
@@ -495,7 +495,7 @@ def fourier_suite(
             res.record(
                 resid <= tol, f"{spec!r} fn{i}: convolution residual {resid:.2e}"
             )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -511,7 +511,7 @@ def all_subgroups(spec: GroupSpec, max_generators: int) -> list[GroupSet]:
 def duality_suite(specs: list[GroupSpec] | None = None) -> SuiteResult:
     """|annihilator(spectrum(1_V, eps))| = |V| for every subgroup V."""
     res = SuiteResult("subgroup-duality")
-    t0 = time.time()
+    t0 = time.perf_counter()
     specs = specs or [GroupSpec((2, 2, 2, 2)), GroupSpec((3, 3, 3))]
     for spec in specs:
         for V in all_subgroups(spec, max_generators=spec.rank):
@@ -521,7 +521,7 @@ def duality_suite(specs: list[GroupSpec] | None = None) -> SuiteResult:
                     ann.indices == V.indices,
                     f"{spec!r} |V|={len(V)} eps={eps}: annihilator mismatch",
                 )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -534,7 +534,7 @@ def containment_suite(n_runs: int = 100, seed: int = 1) -> SuiteResult:
     lands inside the annihilator of the (r * eps)-spectrum.
     """
     res = SuiteResult("annihilator-containment")
-    t0 = time.time()
+    t0 = time.perf_counter()
     pool = [
         GroupSpec((2, 2, 2, 2)),
         GroupSpec((3, 3, 3)),
@@ -583,14 +583,14 @@ def containment_suite(n_runs: int = 100, seed: int = 1) -> SuiteResult:
         A = GroupSet(spec, good)
         ok = annihilator_containment_check(g, A, eps)
         res.record(ok, f"run{i} {spec!r} style{style} eps={eps}: containment")
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
 def petridis_suite(n_runs: int = 40, seed: int = 1, n_c: int = 25) -> SuiteResult:
     """Ratio-minimizer consequence |A+Z+C| <= K |Z+C| over sampled C."""
     res = SuiteResult("ratio-minimizer")
-    t0 = time.time()
+    t0 = time.perf_counter()
     pool = [GroupSpec((16,)), GroupSpec((3, 3)), GroupSpec((2, 2, 2, 2)), GroupSpec((12,)), GroupSpec((2, 4, 4)), GroupSpec((5, 5))]
     for i in range(n_runs):
         spec = pool[i % len(pool)]
@@ -611,7 +611,7 @@ def petridis_suite(n_runs: int = 40, seed: int = 1, n_c: int = 25) -> SuiteResul
             petridis_verify(A, pr.Z, family),
             f"run{i} {spec!r}: consequence fails for some C",
         )
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -625,7 +625,7 @@ def pipeline_suite(
     and random sets in Z_3^4.  Returns the reports for reuse.
     """
     res = SuiteResult("pipeline-driver")
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = []
     for n in range(2, max_rank + 1):
         spec = GroupSpec((2,) * n)
@@ -662,7 +662,7 @@ def pipeline_suite(
             rep.support_set, rep.invariance_set, rep.h, rep.stage2.f, rep.epsilon
         )
         res.record(sb.holds, "spectrum annihilator bound replay")
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res, reports
 
 

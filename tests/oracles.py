@@ -63,6 +63,23 @@ def sumset_oracle(mods, A, B):
     return {add_c(mods, a, b) for a in A for b in B}
 
 
+def overlap_oracle(mods, A, x):
+    """|A cap (A - x)|: the a in A with a + x in A."""
+    members = set(A)
+    return sum(1 for a in members if add_c(mods, a, x) in members)
+
+
+def petridis_verify_oracle(mods, A, Z, family):
+    """Whether |A+Z+C| |Z| <= |A+Z| |Z+C| for every non-empty C in family,
+    by sumset replays on coordinate tuples."""
+    az, z = sumset_oracle(mods, A, Z), len(set(Z))
+    return all(
+        len(sumset_oracle(mods, az, C)) * z <= len(az) * len(sumset_oracle(mods, Z, C))
+        for C in family
+        if C
+    )
+
+
 def k_fold_oracle(mods, X, k):
     acc = {tuple(0 for _ in mods)}
     for _ in range(k):

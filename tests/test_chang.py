@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -18,10 +19,16 @@ from statcover import (
     invariant_set,
     subgroup_closure,
 )
-from statcover import chang, functions
+from statcover import chang, functions, sets
 from statcover.functions import RationalFunc
 
-from oracles import chang_oracle
+from oracles import (
+    chang_oracle,
+    defect_oracle,
+    inner_oracle,
+    overlap_oracle,
+    translate_oracle,
+)
 
 
 class TestInvariantSet:
@@ -256,14 +263,152 @@ class TestIntegerKernel:
         h = indicator(GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=8)))))
         args = (h, A, Fraction(1, 3), Fraction(1, 2), 6)
         kept = chang_iterate(*args)
-        budgets = (functions._BLOCK_ENTRIES, functions._TABLE_ENTRIES)
+        budgets = (functions._BLOCK_ENTRIES, sets._BLOCK_ENTRIES)
         try:
-            # one row per block, nothing kept across steps
-            functions._BLOCK_ENTRIES, functions._TABLE_ENTRIES = 1, 0
+            # one row per defect block and one pair per product block
+            functions._BLOCK_ENTRIES, sets._BLOCK_ENTRIES = 1, 1
             rebuilt = chang_iterate(*args)
         finally:
-            functions._BLOCK_ENTRIES, functions._TABLE_ENTRIES = budgets
+            functions._BLOCK_ENTRIES, sets._BLOCK_ENTRIES = budgets
         assert rebuilt == kept
+
+
+class TestAutocorrelation:
+    """The recurrence N' = 2N + N(. - a) + N(. + a) that decides every test."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_indicator_matches_oracle(self, data):
+        # test_matches_oracle_mixed_denominators covers non-negative
+        # mixed-denominator h on the same groups
+        spec = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+        idx = st.integers(0, spec.order - 1)
+        a_indices = data.draw(st.sets(idx, min_size=1, max_size=8))
+        pairs = {i: 1 for i in a_indices}
+        q = data.draw(st.integers(1, 64))
+        kappa = Fraction(data.draw(st.integers(1, q)), q)
+        eta = Fraction(data.draw(st.integers(0, 6)), 6)
+        k_max = data.draw(st.integers(0, 12))
+        _assert_same(*_run_both(spec, pairs, a_indices, kappa, eta, k_max))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_indicator_counts_overlaps(self, data):
+        spec = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS + [(2, 4, 8), (3, 9)])))
+        idx = st.integers(0, spec.order - 1)
+        A = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=12))))
+        N = chang._autocorrelation(indicator(A))
+        coords = [e.coords for e in A]
+        assert N.tolist() == [
+            overlap_oracle(spec.moduli, coords, x.coords) for x in spec.elements()
+        ]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pair_blocks_match_oracle(self, data):
+        spec = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+        idx = st.integers(0, spec.order - 1)
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+        pairs = data.draw(st.dictionaries(idx, values, min_size=1, max_size=8))
+        h = RationalFunc.from_pairs(spec, pairs)
+        N = chang._autocorrelation(h)
+        budget = sets._BLOCK_ENTRIES
+        try:
+            sets._BLOCK_ENTRIES = data.draw(st.integers(1, 4))
+            assert chang._autocorrelation(h).tolist() == N.tolist()
+        finally:
+            sets._BLOCK_ENTRIES = budget
+        f = {spec.element_at(i).coords: Fraction(v) for i, v in pairs.items()}
+        mods = spec.moduli
+        assert [Fraction(n, h.den**2) for n in N.tolist()] == [
+            inner_oracle(f, translate_oracle(mods, f, x.coords)) for x in spec.elements()
+        ]
+
+    def test_recurrence_crosses_into_python_ints(self):
+        spec = GroupSpec((16,))
+        A = generate_instance("random", spec, size=5, seed=3)
+        out = chang_iterate(indicator(A), A, Fraction(1, 1000), Fraction(1), 100)
+        g, N = indicator(A), chang._autocorrelation(indicator(A))
+        dtypes = [N.dtype]
+        for e in out.path:
+            g, N = chang._step(g, N, e.index)
+            assert N.tolist() == chang._autocorrelation(g).tolist()
+            dtypes.append(N.dtype)
+        assert g == out.func and out.l > 40
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        assert int(N[0]) == int((g.num * g.num).sum())
+
+    def test_stage_two_run_on_z64_matches_recorded_values(self):
+        # the second-stage call of theorem_driver on the random |A| = 8 set
+        # in Z_64 (seed 2), with the digests of its path and of its exact
+        # energies as computed by the earlier per-x defect kernel
+        spec = GroupSpec((64,))
+        A = GroupSet(spec, frozenset([5]))
+        kappa = Fraction(405785562169, 289155191903362576)
+        eta = Fraction(637013, 2150926096)
+        out = chang_iterate(indicator(A), A, kappa, eta, 11854168)
+        assert out.kind == "invariant" and out.l == 3953
+        assert out.witnesses == A
+        path = ",".join(str(e.index) for e in out.path)
+        energies = ",".join(f"{e.numerator}/{e.denominator}" for e in out.energies)
+        assert hashlib.sha256(path.encode()).hexdigest() == (
+            "24968cafe2fcf023c58b5d052b943926ea00aee26fb384a5faf249dc4ccf2435"
+        )
+        assert hashlib.sha256(energies.encode()).hexdigest() == (
+            "092e2ceab387222678ee49454587f8fe97dcaf2ca7caac5c320fc6e557b33a63"
+        )
+
+    def test_wrong_energy_numerator_is_reported(self, monkeypatch):
+        spec = GroupSpec((8,))
+        A = GroupSet(spec, frozenset([0, 1, 3]))
+        right = chang._autocorrelation
+
+        def off_by_one(h):
+            N = right(h).copy()
+            N[0] += 1
+            return N
+
+        monkeypatch.setattr(chang, "_autocorrelation", off_by_one)
+        with pytest.raises(AssertionError, match="indicates a bug"):
+            chang_iterate(indicator(A), A, Fraction(1, 2), Fraction(1, 2), 5)
+
+
+class TestDefectRowBlocks:
+    """The block split of RationalFunc.translation_defects, which chang no longer uses."""
+
+    def test_several_row_blocks(self):
+        spec = GroupSpec((1024,))
+        rows = functions._BLOCK_ENTRIES // spec.order
+        xs = random.Random(7).sample(range(spec.order), 300)
+        assert len(xs) > rows
+        f = RationalFunc.from_pairs(spec, {i: Fraction(i % 7 - 3, 5) for i in range(600)})
+        for p in (1, 2):
+            got = f.translation_defects(xs, p)
+            norm = RationalFunc.l1_norm if p == 1 else RationalFunc.l2_norm_sq
+            assert got == [norm(f - f.translate_index(x)) for x in xs]
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_row_per_block_matches_one_block(self, data):
+        spec = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+        idx = st.integers(0, spec.order - 1)
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+        pairs = data.draw(st.dictionaries(idx, values, min_size=1, max_size=8))
+        f = RationalFunc.from_pairs(spec, pairs)
+        xs = data.draw(st.lists(idx, max_size=10))
+        p = data.draw(st.sampled_from([1, 2]))
+        whole = f.translation_defects(xs, p)
+        budget = functions._BLOCK_ENTRIES
+        try:
+            functions._BLOCK_ENTRIES = 1
+            split = f.translation_defects(xs, p)
+        finally:
+            functions._BLOCK_ENTRIES = budget
+        coords = {spec.element_at(i).coords: Fraction(v) for i, v in pairs.items()}
+        mods = spec.moduli
+        assert split == whole == [
+            defect_oracle(mods, coords, spec.element_at(x).coords, p) for x in xs
+        ]
 
 
 def _is_least_step(k, order, a_size, kappa):

@@ -1,9 +1,10 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statcover import (
     GroupSet,
@@ -22,7 +23,7 @@ from statcover import (
     theorem_driver,
     uniform_measure,
 )
-from statcover import pipeline
+from statcover import pipeline, sets
 from statcover.functions import RationalFunc, average_with_translate
 from statcover.pipeline import _headline_comparison
 
@@ -32,6 +33,7 @@ from oracles import (
     mu_oracle,
     petridis_fallback_oracle,
     petridis_scan_oracle,
+    petridis_verify_oracle,
 )
 
 
@@ -221,6 +223,118 @@ class TestPetridisVerify:
             for _ in range(40)
         ]
         assert petridis_verify(A, Z, family)
+
+VERIFY_GROUPS = [(16,), (3, 3), (2, 2, 2, 2), (2, 4, 4), (5, 5), (12,)]
+
+
+def _verify_replay(A, Z, family):
+    spec = A.spec
+
+    def coords(S):
+        return [e.coords for e in S]
+
+    return petridis_verify_oracle(
+        spec.moduli, coords(A), coords(Z), [coords(C) for C in family]
+    )
+
+
+@st.composite
+def _verify_case(draw):
+    """A, an arbitrary Z and a family with empty sets, singletons and repeats."""
+    spec = GroupSpec(draw(st.sampled_from(VERIFY_GROUPS)))
+
+    def subsets(lo, hi):
+        idx = st.integers(0, spec.order - 1)
+        return st.sets(idx, min_size=lo, max_size=hi).map(
+            lambda s: GroupSet(spec, frozenset(s))
+        )
+
+    A, Z = draw(subsets(1, 6)), draw(subsets(1, 6))
+    family = draw(
+        st.lists(st.one_of(subsets(0, 0), subsets(1, 1), subsets(1, spec.order)), max_size=8)
+    )
+    family += family[: draw(st.integers(0, len(family)))]
+    return A, Z, family
+
+
+def _pinned_case(mods, A, Z, family):
+    spec = GroupSpec(mods)
+    return (
+        GroupSet(spec, frozenset(A)),
+        GroupSet(spec, frozenset(Z)),
+        [GroupSet(spec, frozenset(C)) for C in family],
+    )
+
+
+# Z is no ratio minimizer: |A+Z| / |Z| = 6/5 but |A+Z+C| / |Z+C| = 8/6 for
+# the last C
+_FAILING_CASE = _pinned_case((2, 2, 2, 2), [3, 7], [1, 5, 8, 9, 12], [[], [4], [1, 8]])
+# an empty C, a singleton, a repeated member and the whole group
+_HOLDING_CASE = _pinned_case(
+    (12,), [0, 1, 5], [2, 3], [[], [7], [0, 6], [0, 6], list(range(12))]
+)
+
+# in chunks of two rows the middle C is cut after its first member, in a
+# chunk that also ends another C
+_SPLIT_CASE = _pinned_case((16,), [0], [0], [[1], [2, 3, 4], [5]])
+
+
+class TestPetridisFamilyRows:
+    """petridis_verify on packed translate rows against sumset replays."""
+
+    @given(_verify_case())
+    @example(_FAILING_CASE)
+    @example(_HOLDING_CASE)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sumset_replay(self, case):
+        A, Z, family = case
+        assert petridis_verify(A, Z, family) == _verify_replay(A, Z, family)
+
+    def test_pinned_cases_take_both_outcomes(self):
+        assert not petridis_verify(*_FAILING_CASE)
+        assert petridis_verify(*_HOLDING_CASE)
+
+    @given(_verify_case(), st.integers(1, 4))
+    @example(_SPLIT_CASE, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_small_chunks_match_one_chunk(self, case, rows):
+        # every group here has one word per row, so a chunk holds `rows` rows
+        A, Z, family = case
+        az = A + Z
+
+        def run():
+            sizes = [pipeline._union_sizes(B, family).tolist() for B in (az, Z)]
+            return sizes, petridis_verify(A, Z, family)
+
+        whole = run()
+        budget = sets._BLOCK_ENTRIES
+        try:
+            sets._BLOCK_ENTRIES = rows
+            split = run()
+        finally:
+            sets._BLOCK_ENTRIES = budget
+        assert split == whole
+        assert whole[0] == [[len(B + C) for C in family] for B in (az, Z)]
+
+    def test_memory_stays_within_chunks(self):
+        # the 4096 rows of C + A + Z take 8 MiB at once; a chunk holds at most
+        # 2**18 words (2 MiB)
+        spec = GroupSpec((2,) * 14)
+        C = subgroup_closure(GroupSet(spec, frozenset(1 << i for i in range(12))))
+        A = GroupSet(spec, frozenset([0, 5, 1000, 9999, 16000]))
+        Z = GroupSet(spec, frozenset([0, 3, 77]))
+        assert len(C) == 2**12
+        for S in (A, Z, A + Z, C):
+            S.index_array  # built outside the traced window
+        tracemalloc.start()
+        try:
+            ok = petridis_verify(A, Z, [C])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok == _verify_replay(A, Z, [C])
+        assert peak <= 4 * 2**20
+
 
 class TestAlmostInvariantPair:
     def test_subgroup_zero_defect(self):
