@@ -34,7 +34,7 @@ from .covering import (
     verify_covered,
     verify_iterated_cover,
 )
-from .fourier import CharSet, DualFunc, annihilator, dft, spectrum
+from .fourier import CharSet, DualFunc, PowerSpectrum, annihilator, dft, power_spectrum, spectrum
 from .functions import (
     RationalFunc,
     TupleMeasure,
@@ -93,6 +93,7 @@ __all__ = [
     "PetridisResult",
     "PipelineCheckError",
     "PipelineReport",
+    "PowerSpectrum",
     "RationalFunc",
     "SpectrumBoundResult",
     "TupleMeasure",
@@ -118,6 +119,7 @@ __all__ = [
     "petridis_subset",
     "petridis_verify",
     "point_mass",
+    "power_spectrum",
     "product_chain",
     "reverify_report",
     "ruzsa_cover",

@@ -136,7 +136,7 @@ def invariant_set(
         require_same_spec(h, e)
         g, N = _step(g, N, e.index)
     xs = A.index_array
-    return GroupSet(A.spec, frozenset(xs[_invariant(N, xs, kappa)].tolist()))
+    return GroupSet(A.spec, xs[_invariant(N, xs, kappa)])
 
 
 def decrement_check(
@@ -197,12 +197,25 @@ def energy_floor_steps(order: int, a_size: int, kappa: Fraction) -> int:
 
     The float quotient is accurate to a few ulps, so its ceiling is taken
     unless it lies within a relative 1e-9 of an integer n; then n or n + 1
-    is decided exactly.
+    is decided exactly.  kappa is checked against (0, 1] exactly, before
+    any float conversion, and a kappa whose double is 0.0, or so small that
+    the bound overflows a double, raises ValueError.
     """
+    kappa = Fraction(kappa)
+    if not 0 < kappa <= 1:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    if float(kappa) == 0.0:
+        raise ValueError(
+            "kappa is positive but below the least positive double, 2**-1074, "
+            "so it rounds to 0.0"
+        )
     if a_size >= order:
         return 0
-    kappa = Fraction(kappa)
     t = math.log1p((order - a_size) / a_size) / -math.log1p(-float(kappa) / 4)
+    if not math.isfinite(t):
+        raise ValueError(
+            f"kappa {float(kappa)!r} is too small: the step bound overflows a double"
+        )
     n = round(t)
     if abs(t - n) > 1e-9 * t:
         return math.ceil(t)
@@ -264,7 +277,7 @@ def chang_iterate(
                 kind="invariant",
                 path=tuple(path),
                 energies=tuple(energies),
-                witnesses=GroupSet(spec, frozenset(xs[passing].tolist())),
+                witnesses=GroupSet(spec, xs[passing]),
                 func=g,
             )
             break

@@ -156,7 +156,7 @@ def ruzsa_cover(A: GroupSet, B: GroupSet) -> GroupSet:
     rows = translate_rows(B, A.index_array)
     # a translate is added when it misses the union: |row & union| < 1
     picked = _first_fit(rows, 1, np.zeros_like(rows[0]), 0)
-    X = GroupSet(A.spec, frozenset(A.index_array[picked].tolist()))
+    X = GroupSet(A.spec, A.index_array[picked])
     if len(X) * len(B) > _popcount(np.bitwise_or.reduce(rows, axis=0)):
         raise RuntimeError("ruzsa covering size bound violated; this indicates a bug")
     covered = sumset(X, B) - B

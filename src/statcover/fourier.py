@@ -17,21 +17,25 @@ import numpy as np
 
 from .groups import Character, GroupSpec, _span_with
 from .functions import RationalFunc
-from .sets import GroupSet
+from .sets import GroupSet, _index_frozenset
 
 __all__ = [
     "DualFunc",
     "CharSet",
+    "PowerSpectrum",
     "dft",
+    "power_spectrum",
     "spectrum",
     "annihilator",
     "DENSE_TRANSFORM_LIMIT",
     "SPECTRUM_GUARD",
 ]
 
-# Above this order the transform switches from the dense character-matrix
-# product to the per-coordinate mixed-radix factorization (numpy fftn); the
-# two paths are cross-checked to 1e-9 in the test suite.
+# Up to this order the transform is the dense character-matrix product.
+# Above it, an exponent-2 group takes the in-place float butterfly, which is
+# bitwise equal to numpy fftn there, and any other group takes fftn, the
+# per-coordinate mixed-radix factorization; the dense path and the fast
+# paths are cross-checked to 1e-9 in the test suite.
 DENSE_TRANSFORM_LIMIT = 1024
 
 # Relative guard band on the spectrum threshold; characters inside the band
@@ -42,7 +46,11 @@ SPECTRUM_GUARD = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DualFunc:
-    """A complex-valued function on the dual group, indexed like Character."""
+    """A complex-valued function on the dual group, indexed like Character.
+
+    values is complex128, or float64 where every value is real by
+    construction (the butterfly path of dft).
+    """
 
     spec: GroupSpec
     values: np.ndarray
@@ -57,13 +65,17 @@ class DualFunc:
 
 @dataclass(frozen=True)
 class CharSet:
-    """A set of characters, stored as a frozenset of character indices."""
+    """A set of characters, stored as a frozenset of character indices.
+
+    indices may be given as any iterable of ints; an integer numpy array is
+    converted in one tolist() pass.
+    """
 
     spec: GroupSpec
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        idx = frozenset(map(int, self.indices))
+        idx = _index_frozenset(self.indices)
         object.__setattr__(self, "indices", idx)
         if idx and (min(idx) < 0 or max(idx) >= self.spec.order):
             raise ValueError("character index out of range")
@@ -93,11 +105,44 @@ def _dft_matrix(spec: GroupSpec) -> np.ndarray:
     return np.exp(-2j * np.pi * phase)
 
 
+def _butterfly(vals: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a float array of length 2^n, in place.
+
+    Pass h pairs entries h apart into (a + b, a - b) for h = 1, 2, 4, ...:
+    stride 1 is the last coordinate, so this is the axis order of numpy
+    fftn (last axis first), and each length-2 pass rounds a + b and a - b
+    exactly as fftn's does, so the result equals fftn's real part bitwise.
+    """
+    h = 1
+    while h < vals.size:
+        pairs = vals.reshape(-1, 2, h)
+        first, second = pairs[:, 0], pairs[:, 1]
+        old = first.copy()
+        first += second
+        np.subtract(old, second, out=second)
+        h *= 2
+    return vals
+
+
 def dft(f: RationalFunc, *, force_dense: bool = False) -> DualFunc:
     """fhat(gamma) = sum_x f(x) conj(gamma(x)).
 
-    Dense definition-style evaluation up to DENSE_TRANSFORM_LIMIT, the
-    mixed-radix per-coordinate factorization beyond it.
+    Three paths: the dense character-matrix product up to
+    DENSE_TRANSFORM_LIMIT (or with force_dense); above it, the butterfly on
+    exponent-2 groups, whose characters are all real, so values is float64
+    and equals numpy fftn's real part bitwise (fftn's imaginary parts are
+    zero there); numpy fftn, the mixed-radix per-coordinate factorization,
+    on every other group.
+
+    Error bound of the butterfly: each output is a signed sum of the
+    rounded values num / den, each within 2^-53 of its value relatively,
+    added over n = log2 |G| levels of single rounded additions.  So each
+    output is within gamma_(n+1) ||f||_1 of the exact fhat(gamma), with
+    gamma_k = k u / (1 - k u) and u = 2^-53: (log2 |G| + 1) 2^-53 ||f||_1
+    up to a factor below 1 + 10^-14.  For the dense and fftn paths no
+    constant is proven here; the suite cross-checks them to 1e-9 (an
+    a-priori fftn bound of the form c log2 |G| u, in the l2 norm, is
+    Percival, Math. Comp. 72 (2003) 387-395).
     """
     spec = f.spec
     vals = np.zeros(spec.order, dtype=np.float64)
@@ -106,28 +151,66 @@ def dft(f: RationalFunc, *, force_dense: bool = False) -> DualFunc:
     vals[f.support_array] = [n / den for n in f.num[f.support_array].tolist()]
     if force_dense or spec.order <= DENSE_TRANSFORM_LIMIT:
         out = _dft_matrix(spec) @ vals.astype(np.complex128)
+    elif spec.exponent == 2:
+        out = _butterfly(vals)
     else:
         out = np.fft.fftn(vals.reshape(spec.moduli)).reshape(-1)
     return DualFunc(spec, out)
 
 
-def spectrum(f: RationalFunc, eps: Fraction | float) -> CharSet:
-    """Characters gamma with |fhat(gamma)| >= eps * l1norm(f).
-
-    The comparison runs on squared magnitudes in double precision with a
-    relative guard band of SPECTRUM_GUARD; borderline characters are kept.
-    """
+def _check_threshold(eps: Fraction | float) -> float:
+    """The double of a spectrum threshold, after an exact range check."""
+    # Fraction and float compare exactly, and nan fails both comparisons
+    if not 0 < eps <= 1:
+        raise ValueError(f"spectrum threshold must lie in (0, 1], got {eps}")
     eps_f = float(eps)
-    if not 0.0 < eps_f <= 1.0:
-        raise ValueError(f"spectrum threshold must lie in (0, 1], got {eps_f}")
+    if eps_f == 0.0:
+        raise ValueError(
+            "spectrum threshold is positive but below the least positive "
+            "double, 2**-1074, so it rounds to 0.0"
+        )
+    return eps_f
+
+
+@dataclass(frozen=True, eq=False)
+class PowerSpectrum:
+    """|fhat|^2 over the dual group and ||f||_1 for one nonzero f: one
+    transform, cut at any number of thresholds."""
+
+    spec: GroupSpec
+    mag2: np.ndarray
+    l1: Fraction
+
+    def cut(self, eps: Fraction | float) -> CharSet:
+        """Characters gamma with |fhat(gamma)| >= eps * l1norm(f).
+
+        The comparison runs on squared magnitudes in double precision with
+        a relative guard band of SPECTRUM_GUARD; borderline characters are
+        kept.  Cuts are nested: a larger eps keeps a subset.
+        """
+        eps_f = _check_threshold(eps)
+        thr2 = (eps_f * float(self.l1)) ** 2 * (1.0 - SPECTRUM_GUARD)
+        return CharSet(self.spec, np.flatnonzero(self.mag2 >= thr2))
+
+
+def power_spectrum(f: RationalFunc) -> PowerSpectrum:
+    """Transform f once and keep |fhat|^2 and ||f||_1 for cutting."""
     l1 = f.l1_norm()
     if l1 == 0:
         raise ValueError("spectrum of the zero function is undefined")
     fh = dft(f).values
-    mag2 = fh.real * fh.real + fh.imag * fh.imag
-    thr2 = (eps_f * float(l1)) ** 2 * (1.0 - SPECTRUM_GUARD)
-    keep = np.nonzero(mag2 >= thr2)[0]
-    return CharSet(f.spec, frozenset(keep.tolist()))
+    if np.iscomplexobj(fh):
+        mag2 = fh.real * fh.real + fh.imag * fh.imag
+    else:
+        mag2 = np.multiply(fh, fh, out=fh)
+    return PowerSpectrum(f.spec, mag2, l1)
+
+
+def spectrum(f: RationalFunc, eps: Fraction | float) -> CharSet:
+    """Characters gamma with |fhat(gamma)| >= eps * l1norm(f): one
+    transform and one cut (PowerSpectrum.cut)."""
+    _check_threshold(eps)
+    return power_spectrum(f).cut(eps)
 
 
 def annihilator(chars: CharSet) -> GroupSet:
@@ -138,23 +221,29 @@ def annihilator(chars: CharSet) -> GroupSet:
     Since Ann(S) = Ann(<S>), only a greedy generating set of <S> filters the
     candidates: each filter character is the least one of S outside the
     span of those before it, so each at least doubles the span and there
-    are at most log2 |<S>| filter passes.
+    are at most log2 |<S>| filter passes.  In exponent 2 the bits of an
+    index are its coordinates, so gamma(x) = 1 iff popcount(gamma & x) is
+    even and no digits are read.
     """
     spec = chars.spec
     r = spec.exponent
     scale = np.array([r // m for m in spec.moduli], dtype=np.int64)
     cand = spec._arange
-    grid = spec._grid
-    rest = np.array(sorted(chars.indices - {0}), dtype=np.int64)
+    rest = np.sort(np.fromiter(chars.indices, dtype=np.int64, count=len(chars)))
+    rest = rest[rest != 0]
     span = np.zeros(1, dtype=np.int64)
     in_span = np.zeros(spec.order, dtype=bool)
     while cand.size > 1 and rest.size:
         ci = int(rest[0])
-        w = (grid[ci] * scale) % r
-        cand = cand[(grid[cand] @ w) % r == 0]
+        if r == 2:
+            cand = cand[np.bitwise_count(cand & ci) & 1 == 0]
+        else:
+            grid = spec._grid
+            w = (grid[ci] * scale) % r
+            cand = cand[(grid[cand] @ w) % r == 0]
         rest = rest[1:]
         if rest.size:  # extend the span only while S has characters outside it
             span = _span_with(spec, span, ci)
             in_span[span] = True
             rest = rest[~in_span[rest]]
-    return GroupSet(spec, frozenset(cand.tolist()))
+    return GroupSet(spec, cand)

@@ -21,7 +21,7 @@ import numpy as np
 from . import sets
 from .chang import ChangOutcome, chang_iterate, energy_floor_steps
 from .covering import CoverCertificate, statistical_cover
-from .fourier import annihilator, spectrum
+from .fourier import PowerSpectrum, annihilator, power_spectrum, spectrum
 from .functions import (
     RationalFunc,
     convolve,
@@ -362,16 +362,9 @@ def almost_invariant_pair(
     return stage
 
 
-def annihilator_containment_check(
-    g: RationalFunc, A: GroupSet, eps: Fraction | int
-) -> bool:
-    """Do all of A's characters fix g's large spectrum, i.e. is A inside
-    the annihilator of the (r * eps)-spectrum of g?
-
-    Hypotheses (g nonzero, every a in A moves g by at most eps of its l1
-    mass, r * eps <= 1) are verified exactly and raise LemmaHypothesisError
-    on failure; the return value reports only the conclusion.
-    """
+def _containment_hypotheses(g: RationalFunc, A: GroupSet, eps: Fraction | int) -> Fraction:
+    """Verify the containment lemma's hypotheses exactly and return eps as
+    a Fraction; raise LemmaHypothesisError naming the first that fails."""
     require_same_spec(g, A)
     eps = Fraction(eps)
     if g.is_zero():
@@ -388,8 +381,21 @@ def annihilator_containment_check(
             raise LemmaHypothesisError(
                 f"translate by element index {a} moves g by {moved} > eps * l1"
             )
-    ann = annihilator(spectrum(g, r * eps))
-    return A.issubset(ann)
+    return eps
+
+
+def annihilator_containment_check(
+    g: RationalFunc, A: GroupSet, eps: Fraction | int
+) -> bool:
+    """Do all of A's characters fix g's large spectrum, i.e. is A inside
+    the annihilator of the (r * eps)-spectrum of g?
+
+    Hypotheses (g nonzero, every a in A moves g by at most eps of its l1
+    mass, r * eps <= 1) are verified exactly and raise LemmaHypothesisError
+    on failure; the return value reports only the conclusion.
+    """
+    eps = _containment_hypotheses(g, A, eps)
+    return A.issubset(annihilator(spectrum(g, g.spec.exponent * eps)))
 
 
 @dataclass(frozen=True)
@@ -404,19 +410,11 @@ class SpectrumBoundResult:
     spectrum_size: int
 
 
-def spec_annihilator_bound(
-    A: GroupSet,
-    A_prime: GroupSet,
-    h: RationalFunc,
-    g: RationalFunc,
-    eps: Fraction | int,
-) -> SpectrumBoundResult:
-    """Check |annihilator(Spec_{1/(4 K^(2 eps))}(g))| <= 4 K |A|.
-
-    K is the exact doubling ratio of A; the threshold K^(2 eps) is evaluated
-    in double precision under the over-inclusive spectrum policy, which can
-    only shrink the annihilator.  All hypotheses are verified exactly.
-    """
+def _bound_hypotheses(
+    A: GroupSet, A_prime: GroupSet, h: RationalFunc, g: RationalFunc, eps: Fraction | int
+) -> Fraction:
+    """Verify the spectrum-bound hypotheses exactly and return eps as a
+    Fraction; raise LemmaHypothesisError naming the first that fails."""
     require_same_spec(A, A_prime)
     require_same_spec(A, h)
     require_same_spec(A, g)
@@ -438,12 +436,19 @@ def spec_annihilator_bound(
             raise LemmaHypothesisError(
                 f"translate by element index {a} moves h by more than eps * l1"
             )
+    return eps
+
+
+def _bound_from(
+    A: GroupSet, eps: Fraction, power: PowerSpectrum
+) -> tuple[SpectrumBoundResult, GroupSet]:
+    """The spectrum bound from g's power spectrum, with the annihilator."""
     K = doubling_constant(A)
     threshold = 1.0 / (4.0 * float(K) ** (2.0 * float(eps)))
-    spec_set = spectrum(g, threshold)
+    spec_set = power.cut(threshold)
     ann = annihilator(spec_set)
     bound = 4 * K * len(A)
-    return SpectrumBoundResult(
+    result = SpectrumBoundResult(
         size=len(ann),
         bound=bound,
         holds=Fraction(len(ann)) <= bound,
@@ -451,6 +456,24 @@ def spec_annihilator_bound(
         K=K,
         spectrum_size=len(spec_set),
     )
+    return result, ann
+
+
+def spec_annihilator_bound(
+    A: GroupSet,
+    A_prime: GroupSet,
+    h: RationalFunc,
+    g: RationalFunc,
+    eps: Fraction | int,
+) -> SpectrumBoundResult:
+    """Check |annihilator(Spec_{1/(4 K^(2 eps))}(g))| <= 4 K |A|.
+
+    K is the exact doubling ratio of A; the threshold K^(2 eps) is evaluated
+    in double precision under the over-inclusive spectrum policy, which can
+    only shrink the annihilator.  All hypotheses are verified exactly.
+    """
+    eps = _bound_hypotheses(A, A_prime, h, g, eps)
+    return _bound_from(A, eps, power_spectrum(g))[0]
 
 
 def _rationalize(x: float) -> Fraction:
@@ -660,14 +683,19 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
         )
     )
 
-    loose_ann = annihilator(spectrum(g, report.loose_threshold))
+    # one annihilator at r * eta serves the recorded-loose recheck and the
+    # containment check, whose threshold is r * eta too
+    loose = spec.exponent * eta
+    _containment_hypotheses(g, report.Z2, eta)
+    loose_ann = annihilator(spectrum(g, loose))
     checks.append(
         CheckRecord(
             "loose-annihilator-recorded",
             len(report.loose_annihilator),
             len(loose_ann),
             "==",
-            report.loose_annihilator.indices == loose_ann.indices,
+            report.loose_threshold == float(loose)
+            and report.loose_annihilator.indices == loose_ann.indices,
         )
     )
     checks.append(
@@ -680,14 +708,13 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
         )
     )
 
-    contained = annihilator_containment_check(g, report.Z2, eta)
     checks.append(
         CheckRecord(
             "annihilator-containment",
             len(report.Z2),
             len(loose_ann),
             "subset",
-            contained,
+            report.Z2.issubset(loose_ann),
         )
     )
     gen2 = subgroup_closure(report.Z2)
@@ -852,9 +879,14 @@ def theorem_driver(
     T = Z + V + V1
     inv_set = Z1 + V1
 
-    sb = spec_annihilator_bound(T, inv_set, h, g, eps)
+    # one transform of g serves both thresholds; the cuts are nested, so
+    # cuts of one size are one set and share an annihilator
+    _bound_hypotheses(T, inv_set, h, g, eps)
+    power = power_spectrum(g)
+    sb, sb_ann = _bound_from(T, eps, power)
     loose_threshold = float(r * eta)
-    loose_ann = annihilator(spectrum(g, loose_threshold))
+    loose_chars = power.cut(loose_threshold)
+    loose_ann = sb_ann if len(loose_chars) == sb.spectrum_size else annihilator(loose_chars)
 
     Z2 = stage2.good
     pet3 = petridis_subset(A, petridis_cap, within=Z2)

@@ -87,15 +87,26 @@ def translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
+def _index_frozenset(indices: Iterable[int] | np.ndarray) -> frozenset[int]:
+    """Indices as a frozenset of Python ints; an integer array in one tolist() pass."""
+    if isinstance(indices, np.ndarray):
+        return frozenset(indices.astype(np.int64, copy=False).tolist())
+    return frozenset(map(int, indices))
+
+
 @dataclass(frozen=True)
 class GroupSet:
-    """A subset of a group, stored as a frozenset of canonical element indices."""
+    """A subset of a group, stored as a frozenset of canonical element indices.
+
+    indices may be given as any iterable of ints; an integer numpy array is
+    converted in one tolist() pass.
+    """
 
     spec: GroupSpec
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        idx = frozenset(map(int, self.indices))
+        idx = _index_frozenset(self.indices)
         object.__setattr__(self, "indices", idx)
         if idx:
             lo, hi = min(idx), max(idx)
@@ -170,7 +181,7 @@ class GroupSet:
         if not self.indices:
             return self
         out = self.spec.shift_indices(self.index_array, int(xi))
-        return GroupSet(self.spec, frozenset(out.tolist()))
+        return GroupSet(self.spec, out)
 
     def __add__(self, other: "GroupSet") -> "GroupSet":
         return sumset(self, other)
@@ -179,7 +190,7 @@ class GroupSet:
         if not self.indices:
             return self
         out = self.spec.negate_indices(self.index_array)
-        return GroupSet(self.spec, frozenset(out.tolist()))
+        return GroupSet(self.spec, out)
 
     def __sub__(self, other: "GroupSet") -> "GroupSet":
         return sumset(self, -other)
@@ -225,7 +236,7 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
         for _, _, sums in _pair_sums(spec, A.index_array, B.index_array):
             both = np.sort(np.concatenate((out, sums.reshape(-1))))
             out = both[np.concatenate(([True], both[1:] != both[:-1]))]
-    return GroupSet(spec, frozenset(out.tolist()))
+    return GroupSet(spec, out)
 
 
 def k_fold_sum(X: GroupSet, k: int) -> GroupSet:

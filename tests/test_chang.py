@@ -468,3 +468,19 @@ class TestEnergyFloorSteps:
     def test_no_steps_when_a_fills_the_group(self):
         assert energy_floor_steps(8, 8, Fraction(1, 2)) == 0
         assert energy_floor_steps(8, 9, Fraction(1, 2)) == 0
+
+    @pytest.mark.parametrize("kappa", [Fraction(10**400), Fraction(3, 2), Fraction(0), Fraction(-1, 4)])
+    def test_kappa_outside_the_range_is_refused(self, kappa):
+        with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\]"):
+            energy_floor_steps(64, 3, kappa)
+        with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\]"):
+            energy_floor_steps(8, 8, kappa)
+
+    def test_kappa_below_the_least_double_is_refused(self):
+        with pytest.raises(ValueError, match="least positive double"):
+            energy_floor_steps(64, 3, Fraction(1, 10**400))
+
+    def test_kappa_whose_bound_overflows_is_refused(self):
+        # 2**-1070 / 4 is a double, but log(64/3) over it is not
+        with pytest.raises(ValueError, match="overflows a double"):
+            energy_floor_steps(64, 3, Fraction(1, 2**1070))

@@ -226,6 +226,36 @@ class TestOtherCommands:
         assert payload["results"]["spectrum_characters"] == [0, 2]
         assert payload["results"]["annihilator"]["elements"] == [[0, 0], [0, 1]]
 
+    @pytest.mark.parametrize(
+        "epsilon, message",
+        [
+            ("1e400", "spectrum threshold must lie in (0, 1]"),
+            ("1e-400", "below the least positive double"),
+        ],
+    )
+    def test_spectrum_epsilon_past_the_doubles_is_bad_input(
+        self, tmp_path, capsys, epsilon, message
+    ):
+        path = write_set(tmp_path, "v.json", [2, 2], [[0, 0], [0, 1]])
+        assert main(["spectrum", "--input", path, "--epsilon", epsilon]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kappa, message",
+        [
+            ("1e400", "kappa must lie in (0, 1]"),
+            ("1e-400", "below the least positive double"),
+        ],
+    )
+    def test_chang_kappa_past_the_doubles_is_bad_input(self, tmp_path, capsys, kappa, message):
+        path = write_set(tmp_path, "z4.json", [4], [[0], [1]])
+        assert main(["chang", "--input", path, "--kappa", kappa, "--eta", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_pipeline_report(self, tmp_path, capsys):
         path = write_set(tmp_path, "sub.json", [2, 4], [[0, 0], [0, 2]])
         code = main(["pipeline", "--input", path])

@@ -16,7 +16,13 @@ from statcover import (
     spectrum,
     subgroup_closure,
 )
-from statcover.fourier import DENSE_TRANSFORM_LIMIT, _dft_matrix
+from statcover.fourier import (
+    DENSE_TRANSFORM_LIMIT,
+    SPECTRUM_GUARD,
+    PowerSpectrum,
+    _dft_matrix,
+    power_spectrum,
+)
 from statcover.functions import RationalFunc
 
 from oracles import all_coords, annihilator_oracle, char_eval_oracle, dft_oracle
@@ -248,3 +254,164 @@ class TestAnnihilatorDifferential:
             assert {e.coords for e in got} == annihilator_oracle(
                 mods, [spec.character_at(c).coords for c in chars]
             )
+
+
+def signed_func(spec, rng, support):
+    """Random signed values over mixed denominators on `support` points."""
+    return RationalFunc.from_pairs(
+        spec,
+        {
+            i: Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 12))
+            for i in rng.sample(range(spec.order), support)
+        },
+    )
+
+
+def float_values(f):
+    return np.array([float(v) for v in f.values], dtype=np.float64)
+
+
+def fftn_spectrum(f, eps):
+    """The spectrum as computed through numpy fftn on every group."""
+    fh = np.fft.fftn(float_values(f).reshape(f.spec.moduli)).reshape(-1)
+    mag2 = fh.real * fh.real + fh.imag * fh.imag
+    thr2 = (float(eps) * float(f.l1_norm())) ** 2 * (1.0 - SPECTRUM_GUARD)
+    return frozenset(np.nonzero(mag2 >= thr2)[0].tolist())
+
+
+def exact_walsh(f):
+    """den * fhat over Z_2^n in Python ints: the butterfly on the numerators."""
+    out = np.array(f.num.tolist(), dtype=object)
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        a, b = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0], pairs[:, 1] = a + b, a - b
+        h *= 2
+    return out
+
+
+class TestButterfly:
+    """The exponent-2 transform above the dense limit is bitwise numpy fftn."""
+
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_bitwise_equal_to_fftn(self, n):
+        spec = GroupSpec((2,) * n)
+        assert spec.order > DENSE_TRANSFORM_LIMIT
+        rng = random.Random(n)
+        for support in (1, 7, 300, spec.order // 3):
+            f = signed_func(spec, rng, support)
+            ref = np.fft.fftn(float_values(f).reshape(spec.moduli)).reshape(-1)
+            got = dft(f).values
+            assert got.dtype == np.float64
+            assert not np.any(ref.imag)
+            assert np.array_equal(got, ref.real)
+
+    @pytest.mark.parametrize("n", [11, 14])
+    def test_within_the_certified_bound(self, n):
+        # |computed - exact| <= gamma_(n+1) ||f||_1, checked in Fractions
+        spec = GroupSpec((2,) * n)
+        rng = random.Random(40 + n)
+        u = Fraction(1, 2**53)
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        for support in (5, spec.order // 2):
+            f = signed_func(spec, rng, support)
+            exact = exact_walsh(f)
+            got = dft(f).values
+            bound = gamma * f.l1_norm()
+            for i in rng.sample(range(spec.order), 200):
+                assert abs(Fraction(float(got[i])) - Fraction(exact[i], f.den)) <= bound
+
+    def test_guard_covers_the_bound_at_every_order(self):
+        # a member has |fhat| >= t l1, computed >= (t - E) l1; it is kept when
+        # t^2 (1 - guard) <= (t - E)^2, which 2 t E + E^2 <= guard t^2
+        # ensures with room for the few-ulp roundings of both squares.  The
+        # least driver threshold is r eta ~ 1 / (4 sqrt(e)) ~ 0.1516.
+        u = 2.0**-53
+        for n in range(64):  # every exponent-2 order a GroupSpec admits
+            E = (n + 1) * u / (1 - (n + 1) * u)
+            for t in (0.15, 0.1516, 0.25, 0.5, 1.0):
+                assert 2 * t * E + E * E <= SPECTRUM_GUARD * t * t / 2
+
+
+class TestPowerSpectrum:
+    @pytest.mark.parametrize("mods", [(2, 2, 4), (3, 9), (2,) * 11, (2,) * 13, (4, 4, 4, 4, 8)])
+    def test_cuts_equal_spectrum(self, mods):
+        spec = GroupSpec(mods)
+        rng = random.Random(13)
+        f = signed_func(spec, rng, min(40, spec.order))
+        power = power_spectrum(f)
+        assert isinstance(power, PowerSpectrum) and power.l1 == f.l1_norm()
+        cuts = []
+        for eps in (Fraction(1), Fraction(1, 2), 0.3, Fraction(1, 7), 0.05, Fraction(1, 10**6)):
+            cut = power.cut(eps)
+            assert cut == spectrum(f, eps)
+            cuts.append(cut.indices)
+        # thresholds fall along the list, so each cut holds the one before
+        assert all(a <= b for a, b in zip(cuts, cuts[1:]))
+
+    @pytest.mark.parametrize("mods", [(2,) * 11, (2,) * 12, (2,) * 14, (4, 4, 4, 4, 8)])
+    def test_spectrum_unchanged_from_fftn(self, mods):
+        spec = GroupSpec(mods)
+        rng = random.Random(17)
+        for support in (3, 64):
+            f = signed_func(spec, rng, support)
+            for eps in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+                assert spectrum(f, eps).indices == fftn_spectrum(f, eps)
+        A = GroupSet(spec, frozenset(rng.sample(range(spec.order), 5)))
+        g = indicator(A).square()
+        assert spectrum(g, 0.1516).indices == fftn_spectrum(g, 0.1516)
+
+    def test_thresholds_checked_before_any_float(self):
+        spec = GroupSpec((2, 2))
+        f = indicator(GroupSet.full(spec))
+        power = power_spectrum(f)
+        for bad in (Fraction(10**400), Fraction(-1, 3), 0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+                spectrum(f, bad)
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+                power.cut(bad)
+        with pytest.raises(ValueError, match="least positive double"):
+            spectrum(f, Fraction(1, 10**400))
+        assert spectrum(f, 5e-324).indices == frozenset(range(4))
+
+    def test_zero_function_rejected(self):
+        with pytest.raises(ValueError, match="zero function"):
+            power_spectrum(RationalFunc.zero(GroupSpec((2,) * 11)))
+
+
+class TestExponentTwoAnnihilator:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_exact_phase_oracle(self, data):
+        n = data.draw(st.integers(1, 12))
+        spec = GroupSpec((2,) * n)
+        size = data.draw(st.integers(0, min(spec.order, 6)))
+        chars = data.draw(
+            st.sets(st.integers(0, spec.order - 1), min_size=size, max_size=size)
+        )
+        got = annihilator(CharSet(spec, frozenset(chars)))
+        oracle = annihilator_oracle(spec.moduli, [spec.character_at(c).coords for c in chars])
+        assert {e.coords for e in got} == oracle
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 8])
+    def test_empty_and_full_dual_against_oracle(self, n):
+        spec = GroupSpec((2,) * n)
+        every = [spec.character_at(c).coords for c in range(spec.order)]
+        full = annihilator(CharSet(spec, frozenset(range(spec.order))))
+        assert {e.coords for e in full} == annihilator_oracle(spec.moduli, every)
+        empty = annihilator(CharSet(spec, frozenset()))
+        assert {e.coords for e in empty} == annihilator_oracle(spec.moduli, [])
+
+    def test_reads_no_grid(self):
+        spec = GroupSpec((2,) * 12)
+        rng = random.Random(3)
+        chars = CharSet(spec, np.array(rng.sample(range(spec.order), 40)))
+        assert annihilator(CharSet(spec, frozenset(range(spec.order)))).indices == {0}
+        assert len(annihilator(CharSet(spec, frozenset()))) == spec.order
+        got = annihilator(chars)
+        assert "_grid" not in spec.__dict__
+        assert got == subgroup_closure(got)
+        assert all(
+            bin(x & c).count("1") % 2 == 0 for x in got.indices for c in chars.indices
+        )

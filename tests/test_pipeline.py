@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import random
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +24,7 @@ from statcover import (
     theorem_driver,
     uniform_measure,
 )
-from statcover import pipeline, sets
+from statcover import fourier, pipeline, sets
 from statcover.functions import RationalFunc, average_with_translate
 from statcover.pipeline import _headline_comparison
 
@@ -527,6 +528,80 @@ class TestTheoremDriver:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             theorem_driver(GroupSet.empty(GroupSpec((2,))))
+
+
+def _count_transforms(monkeypatch):
+    """Count fourier.dft calls and the pipeline's annihilator calls."""
+    calls = {"dft": 0, "annihilator": 0}
+    dft, ann = fourier.dft, pipeline.annihilator
+
+    def counted_dft(f, **kw):
+        calls["dft"] += 1
+        return dft(f, **kw)
+
+    def counted_annihilator(chars):
+        calls["annihilator"] += 1
+        return ann(chars)
+
+    monkeypatch.setattr(fourier, "dft", counted_dft)
+    monkeypatch.setattr(pipeline, "annihilator", counted_annihilator)
+    return calls
+
+
+DRIVER_CASES = [
+    # (group, kind, size, seed, annihilators): the two cuts of g keep the
+    # same characters on Z_2^12 and differ on Z_2 x Z_2 x Z_4
+    ((2,) * 12, "independent", None, 0, 2),
+    ((2, 2, 4), "random", 8, 2, 3),
+]
+
+
+class TestOneTransformPerDriverCall:
+    @pytest.mark.parametrize("mods, kind, size, seed, anns", DRIVER_CASES)
+    def test_transform_and_annihilator_counts(self, monkeypatch, mods, kind, size, seed, anns):
+        A = generate_instance(kind, GroupSpec(mods), size=size, seed=seed)
+        calls = _count_transforms(monkeypatch)
+        rep = theorem_driver(A, seed=seed)
+        # the driver cuts one transform twice; its checks transform once more
+        assert calls == {"dft": 2, "annihilator": anns}
+        calls.update(dft=0, annihilator=0)
+        again = reverify_report(rep)
+        assert calls["dft"] >= 1 and calls["annihilator"] >= 1
+        assert again == rep.all_checks()
+
+    @pytest.mark.parametrize("mods, kind, size, seed, anns", DRIVER_CASES)
+    def test_shared_results_equal_separate_calls(self, mods, kind, size, seed, anns):
+        A = generate_instance(kind, GroupSpec(mods), size=size, seed=seed)
+        rep = theorem_driver(A, seed=seed)
+        g, r = rep.stage2.f, A.spec.exponent
+        sb = spec_annihilator_bound(rep.support_set, rep.invariance_set, rep.h, g, rep.epsilon)
+        assert sb == rep.spectrum_bound
+        loose = fourier.spectrum(g, rep.loose_threshold)
+        assert (len(loose) == sb.spectrum_size) == (anns == 2)
+        assert rep.loose_annihilator == fourier.annihilator(loose)
+        assert annihilator_containment_check(g, rep.Z2, rep.eta)
+        assert rep.loose_threshold == float(r * rep.eta)
+
+    def test_tampered_loose_records_fail_the_recheck(self):
+        A = generate_instance("random", GroupSpec((2, 2, 4)), size=8, seed=2)
+        rep = theorem_driver(A, seed=2)
+
+        def recorded(report):
+            (check,) = [c for c in reverify_report(report) if c.name == "loose-annihilator-recorded"]
+            return check.holds
+
+        assert recorded(rep)
+        assert not recorded(replace(rep, loose_threshold=rep.spectrum_bound.threshold))
+        assert not recorded(replace(rep, loose_annihilator=GroupSet.full(A.spec)))
+
+    def test_containment_hypotheses_still_checked(self):
+        # the recheck shares the loose annihilator but still verifies that
+        # Z'' moves g by at most eta of its l1 mass
+        A = generate_instance("random", GroupSpec((2, 2, 4)), size=8, seed=2)
+        rep = theorem_driver(A, seed=2)
+        moved = replace(rep, stage2=replace(rep.stage2, good=GroupSet.full(A.spec)))
+        with pytest.raises(LemmaHypothesisError, match="moves g by"):
+            reverify_report(moved)
 
 
 class TestHeadlineComparison:

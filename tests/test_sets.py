@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from statcover import (
+    CharSet,
     GroupSet,
     GroupSpec,
     doubling_constant,
@@ -42,6 +43,29 @@ def draw_set(data, spec, min_size=0, max_size=None):
     idx = st.integers(min_value=0, max_value=spec.order - 1)
     drawn = data.draw(st.sets(idx, min_size=min_size, max_size=max_size or spec.order))
     return GroupSet(spec, frozenset(drawn))
+
+
+class TestIndexArrays:
+    """GroupSet and CharSet take index arrays as they take any iterable."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.float64])
+    def test_array_equals_the_iterable(self, dtype):
+        spec = GroupSpec((4, 6))
+        arr = np.array([17, 3, 3, 0, 23], dtype=dtype)
+        for cls in (GroupSet, CharSet):
+            made = cls(spec, arr)
+            assert made == cls(spec, frozenset(map(int, arr)))
+            assert made.indices == {0, 3, 17, 23}
+            assert all(type(i) is int for i in made.indices)
+
+    def test_array_out_of_range(self):
+        spec = GroupSpec((4, 6))
+        for cls in (GroupSet, CharSet):
+            with pytest.raises(ValueError, match="out of range"):
+                cls(spec, np.array([0, 24]))
+            with pytest.raises(ValueError, match="out of range"):
+                cls(spec, np.array([-1, 2]))
+            assert len(cls(spec, np.zeros(0, dtype=np.int64))) == 0
 
 
 class TestSumset:
