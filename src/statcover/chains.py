@@ -73,12 +73,12 @@ class ChainCheck:
         return self.ok
 
 
-def _check_caps(base_size: int, k: int, max_tuples: int) -> None:
+def _check_caps(base_size: int, k: int) -> None:
     if k > MAX_CHAIN_K:
         raise ValueError(f"chain depth {k} exceeds the hard cap {MAX_CHAIN_K}")
-    if base_size**k > max_tuples:
+    if base_size**k > MAX_CHAIN_TUPLES:
         raise ValueError(
-            f"level sets of up to {base_size}^{k} tuples exceed the cap {max_tuples}"
+            f"level sets of up to {base_size}^{k} tuples exceed the cap {MAX_CHAIN_TUPLES}"
         )
 
 
@@ -115,7 +115,7 @@ def product_chain(base: GroupSet, factors: Sequence[GroupSet]) -> Chain:
             raise ValueError("factors must be non-empty")
         if not f.issubset(base):
             raise ValueError("every factor must be a subset of the base set")
-    _check_caps(len(base), len(factors), MAX_CHAIN_TUPLES)
+    _check_caps(len(base), len(factors))
     levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
     for f in factors:
         prev = levels[-1]
@@ -153,8 +153,6 @@ def covering_chain(
     x: GroupElement,
     S: Sequence[int] | frozenset[int],
     k: int,
-    *,
-    max_tuples: int = MAX_CHAIN_TUPLES,
 ) -> Chain:
     """Chain witnessing that most tuples a in A^k keep x + sum_{s in S} a_s
     inside the |S|-fold sumset of X plus A.
@@ -176,7 +174,7 @@ def covering_chain(
     S = frozenset(int(s) for s in S)
     if S and (min(S) < 1 or max(S) > k):
         raise ValueError("S must be a subset of {1, ..., k}")
-    _check_caps(len(A), k, max_tuples)
+    _check_caps(len(A), k)
     covered, frac = verify_covered(A, X, delta)
     if not covered:
         raise ValueError(

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import RationalFunc, average_with_translate, convolve, mu_tuple
+from .functions import RationalFunc, _brief, average_with_translate, convolve, mu_tuple
 from .groups import GroupElement, require_same_spec
 from .sets import GroupSet, _pair_sums
 
@@ -128,7 +128,7 @@ def invariant_set(
     require_same_spec(h, A)
     kappa = Fraction(kappa)
     if not 0 < kappa <= 1:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+        raise ValueError(f"kappa must lie in (0, 1], got {_brief(kappa)}")
     if h.is_zero():
         raise ValueError("h must not be identically zero")
     g, N = h, _autocorrelation(h)
@@ -203,7 +203,7 @@ def energy_floor_steps(order: int, a_size: int, kappa: Fraction) -> int:
     """
     kappa = Fraction(kappa)
     if not 0 < kappa <= 1:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+        raise ValueError(f"kappa must lie in (0, 1], got {_brief(kappa)}")
     if float(kappa) == 0.0:
         raise ValueError(
             "kappa is positive but below the least positive double, 2**-1074, "
@@ -241,9 +241,9 @@ def chang_iterate(
     kappa = Fraction(kappa)
     eta = Fraction(eta)
     if not 0 < kappa <= 1:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+        raise ValueError(f"kappa must lie in (0, 1], got {_brief(kappa)}")
     if not 0 <= eta <= 1:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        raise ValueError(f"eta must lie in [0, 1], got {_brief(eta)}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if h.is_zero():

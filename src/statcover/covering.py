@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sets
-from .functions import convolve, indicator
+from .functions import _brief, convolve, indicator
 from .sets import GroupSet, k_fold_sum, sumset, translate_rows
 from .groups import require_same_spec
 
@@ -113,7 +113,7 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
         raise ValueError("covering needs non-empty A and B")
     delta = Fraction(delta)
     if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+        raise ValueError(f"delta must lie in (0, 1], got {_brief(delta)}")
 
     a_sorted = A.index_array
     rows = translate_rows(B, a_sorted)

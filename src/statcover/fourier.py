@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .groups import Character, GroupSpec, _span_with
-from .functions import RationalFunc
+from .functions import RationalFunc, _brief
 from .sets import GroupSet, _index_frozenset
 
 __all__ = [
@@ -99,7 +99,7 @@ class CharSet:
 @lru_cache(maxsize=6)
 def _dft_matrix(spec: GroupSpec) -> np.ndarray:
     """conj(gamma(x)) for every (character, element) pair; O(|G|^2) memory."""
-    grid = spec._grid.astype(np.float64)
+    grid = np.stack(spec.digits(spec._arange), axis=1).astype(np.float64)
     scaled = grid / np.asarray(spec.moduli, dtype=np.float64)
     phase = scaled @ grid.T
     return np.exp(-2j * np.pi * phase)
@@ -162,7 +162,7 @@ def _check_threshold(eps: Fraction | float) -> float:
     """The double of a spectrum threshold, after an exact range check."""
     # Fraction and float compare exactly, and nan fails both comparisons
     if not 0 < eps <= 1:
-        raise ValueError(f"spectrum threshold must lie in (0, 1], got {eps}")
+        raise ValueError(f"spectrum threshold must lie in (0, 1], got {_brief(eps)}")
     eps_f = float(eps)
     if eps_f == 0.0:
         raise ValueError(
@@ -227,7 +227,6 @@ def annihilator(chars: CharSet) -> GroupSet:
     """
     spec = chars.spec
     r = spec.exponent
-    scale = np.array([r // m for m in spec.moduli], dtype=np.int64)
     cand = spec._arange
     rest = np.sort(np.fromiter(chars.indices, dtype=np.int64, count=len(chars)))
     rest = rest[rest != 0]
@@ -238,9 +237,9 @@ def annihilator(chars: CharSet) -> GroupSet:
         if r == 2:
             cand = cand[np.bitwise_count(cand & ci) & 1 == 0]
         else:
-            grid = spec._grid
-            w = (grid[ci] * scale) % r
-            cand = cand[(grid[cand] @ w) % r == 0]
+            w = [int(c_j) * (r // m) % r for c_j, m in zip(spec.digits(ci), spec.moduli)]
+            phase = sum(x_j * w_j for x_j, w_j in zip(spec.digits(cand), w))
+            cand = cand[phase % r == 0]
         rest = rest[1:]
         if rest.size:  # extend the span only while S has characters outside it
             span = _span_with(spec, span, ci)

@@ -11,6 +11,7 @@ Floating point is confined to the fourier module.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass, field
@@ -36,6 +37,18 @@ __all__ = [
 _INT64_BOUND = 2**63
 
 RationalLike = Fraction | int
+
+
+def _brief(value: RationalLike | float) -> str:
+    """value for a message: exact while its terms fit in 64 bits, else to 6
+    digits in a Decimal context that takes any exponent (~1.00000e+400)."""
+    if isinstance(value, float):
+        return str(value)
+    q = Fraction(value)
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) <= 64:
+        return str(q)
+    ctx = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return f"~{ctx.divide(q.numerator, q.denominator):.5e}"
 
 
 def _fits(order: int, peak: int) -> bool:

@@ -78,28 +78,9 @@ class GroupSpec:
         return len(self.moduli)
 
     @cached_property
-    def _weights(self) -> np.ndarray:
+    def _weights(self) -> tuple[int, ...]:
         """Mixed-radix place values (row-major, last coordinate fastest)."""
-        ws = np.ones(self.rank, dtype=np.int64)
-        for j in range(self.rank - 2, -1, -1):
-            ws[j] = ws[j + 1] * self.moduli[j + 1]
-        return ws
-
-    @cached_property
-    def _mods(self) -> np.ndarray:
-        return np.asarray(self.moduli, dtype=np.int64)
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        """Coordinates of every element index, shape (order, rank)."""
-        # reduce in place, so the build peaks at the grid plus one arange
-        grid = np.arange(self.order, dtype=np.int64)[:, None] // self._weights
-        return np.remainder(grid, self._mods, out=grid)
-
-    @cached_property
-    def _wraps(self) -> np.ndarray:
-        """m_j w_j per coordinate: what a wrap of digit j takes off an index sum."""
-        return self._mods * self._weights
+        return tuple(math.prod(self.moduli[j + 1 :]) for j in range(self.rank))
 
     @cached_property
     def _bit_fields(self) -> tuple[int, int] | None:
@@ -108,7 +89,7 @@ class GroupSpec:
         each field set, low the others.  None in any other group."""
         if self.order & (self.order - 1):
             return None
-        top = sum(m * w // 2 for m, w in zip(self.moduli, self._weights.tolist()))
+        top = sum(m * w // 2 for m, w in zip(self.moduli, self._weights))
         return (self.order - 1) ^ top, top
 
     @cached_property
@@ -137,7 +118,7 @@ class GroupSpec:
         for c, w, m in zip(coords, self._weights, self.moduli):
             if not 0 <= c < m:
                 raise ValueError(f"coordinate {c} out of range [0, {m})")
-            total += int(c) * int(w)
+            total += int(c) * w
         return total
 
     def elements(self) -> Iterator["GroupElement"]:
@@ -146,6 +127,15 @@ class GroupSpec:
 
     # vectorized index arithmetic ---------------------------------------------
 
+    def digits(self, indices: np.ndarray | int) -> tuple[np.ndarray, ...]:
+        """Coordinates of the given element indices: one int64 array per
+        factor, each shaped like `indices`."""
+        if self.order < MAX_GROUP_ORDER:
+            return np.unravel_index(indices, self.moduli)
+        # np.unravel_index takes fewer than 2**63 cells: split digit 0 off first
+        top, rest = np.divmod(indices, self._weights[0])
+        return (top, *np.unravel_index(rest, self.moduli[1:]))
+
     def add_indices(self, x: np.ndarray, y: np.ndarray | int) -> np.ndarray:
         """Indices of x + y, elementwise over the broadcast of the index arrays.
 
@@ -153,7 +143,7 @@ class GroupSpec:
         at once: clear each field's top bit, add, and restore the top bits by
         xor, so no carry leaves a field and no digit is needed.  Otherwise
         x + y = sum_j (x_j + y_j) w_j, less m_j w_j for each digit j with
-        y_j >= m_j - x_j.
+        y_j >= m_j - x_j, the digits of x and of y taken by `digits`.
         """
         fields = self._bit_fields
         if fields:
@@ -162,11 +152,10 @@ class GroupSpec:
             out ^= x & top
             out ^= y & top
             return out
-        room = self._mods - self._grid[x]
-        digits = self._grid[y]
         out = x + y
-        for j, wrap in enumerate(self._wraps.tolist()):
-            np.subtract(out, wrap, out=out, where=digits[..., j] >= room[..., j])
+        terms = zip(self.moduli, self._weights, self.digits(x), self.digits(y))
+        for m, w, x_j, y_j in terms:
+            np.subtract(out, m * w, out=out, where=y_j >= m - x_j)
         return out
 
     def shift_indices(self, indices: np.ndarray, by: int) -> np.ndarray:
@@ -174,9 +163,8 @@ class GroupSpec:
         return self.add_indices(indices, int(by))
 
     def negate_indices(self, indices: np.ndarray) -> np.ndarray:
-        # digits of these indices only, so negation never builds _grid
-        digits = np.asarray(indices, dtype=np.int64)[..., None] // self._weights % self._mods
-        return (-digits % self._mods) @ self._weights
+        terms = zip(self.digits(indices), self.moduli, self._weights)
+        return sum((-x_j % m) * w for x_j, m, w in terms)
 
     def add_index(self, i: int, j: int) -> int:
         return int(self.add_indices(np.array([i], dtype=np.int64), int(j))[0])
@@ -187,7 +175,7 @@ class GroupSpec:
         place values of digit j stored twice so that each rotation of v_j is
         a slice; the arrays are read-only."""
         out = []
-        for m, w in zip(self.moduli, self._weights.tolist()):
+        for m, w in zip(self.moduli, self._weights):
             v = np.arange(m, dtype=np.int64) * w
             both = np.concatenate((v, v))
             both.flags.writeable = False
@@ -197,12 +185,15 @@ class GroupSpec:
     def _translate_table(self, by: int) -> np.ndarray:
         """Indices of y + b for every index y in index order, b the index `by`.
 
-        Equal to shift_indices(_arange, by), built as the outer sum over
-        coordinates of ((y_j + b_j) mod m_j) w_j, each term a slice of
-        _axis_cycles[j], so the |G| x rank grid is never gathered.  The
-        result may be a read-only view.
+        Equal to shift_indices(_arange, by).  In exponent 2 every digit is
+        one bit of the index, so the table is _arange ^ b; otherwise it is
+        the outer sum over coordinates of ((y_j + b_j) mod m_j) w_j, each
+        term a slice of _axis_cycles[j], so no digit of any y is computed.
+        The result may be a read-only view.
         """
         by = int(by)
+        if self.exponent == 2:
+            return self._arange ^ by
         table = None
         for both, m, w in self._axis_cycles:
             b = by // w % m
@@ -251,10 +242,7 @@ class _Coords:
 
     @cached_property
     def index(self) -> int:
-        total = 0
-        for c, w in zip(self.coords, self.spec._weights):
-            total += c * int(w)
-        return total
+        return sum(c * w for c, w in zip(self.coords, self.spec._weights))
 
 
 @dataclass(frozen=True)

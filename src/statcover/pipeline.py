@@ -52,6 +52,7 @@ EXHAUSTIVE_SUBSET_CAP = 18
 # Most uint64 words in one block of the exhaustive Petridis table (512 KiB).
 _SCAN_BLOCK_WORDS = 2**16
 INVARIANCE_SCALE = 8  # covering parameter is the invariance parameter over this
+N_RANDOM_C = 20  # random sets C of 1 to 8 elements in the Petridis family check
 
 
 class PipelineCheckError(RuntimeError):
@@ -300,15 +301,14 @@ def _stage_checks(stage: AlmostInvariantResult) -> list[CheckRecord]:
     return checks
 
 
-def almost_invariant_pair(
-    A: GroupSet, eps: Fraction | int, *, scale: int = INVARIANCE_SCALE
-) -> AlmostInvariantResult:
+def almost_invariant_pair(A: GroupSet, eps: Fraction | int) -> AlmostInvariantResult:
     """Build (V, f, good): f >= 0 supported on A + V, nearly fixed by good.
 
-    Covering with parameter eps/scale, then the energy-decrement iteration
-    on the indicator of A with kappa = eps^2/4 and the covering parameter
-    as the witness-density target.  The quarter-square choice is what the
-    l2 -> l1 passage supports: for a witness x of the iteration,
+    Covering with parameter eps / INVARIANCE_SCALE, then the
+    energy-decrement iteration on the indicator of A with kappa = eps^2/4
+    and the covering parameter as the witness-density target.  The
+    quarter-square choice is what the l2 -> l1 passage supports: for a
+    witness x of the iteration,
     Cauchy-Schwarz gives ||f - tau_x f||_1 <= 2 ||g - tau_x g||_2 ||g||_2
     < 2 sqrt(kappa) ||g||_2^2 = eps ||f||_1, so every witness provably
     lands in the good set.  The energy floor guarantees the invariant
@@ -321,7 +321,7 @@ def almost_invariant_pair(
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     spec = A.spec
-    delta = eps / scale
+    delta = eps / INVARIANCE_SCALE
 
     cert = statistical_cover(A, A, delta)
     X = cert.X.with_identity()
@@ -846,8 +846,6 @@ def theorem_driver(
     A: GroupSet,
     *,
     petridis_cap: int = EXHAUSTIVE_SUBSET_CAP,
-    scale: int = INVARIANCE_SCALE,
-    n_random_C: int = 20,
     seed: int = 0,
 ) -> PipelineReport:
     """Run the full structure argument on A and return the audited report.
@@ -869,9 +867,9 @@ def theorem_driver(
     pet = petridis_subset(A, petridis_cap)
     Z = pet.Z
 
-    stage1 = almost_invariant_pair(Z, eps, scale=scale)
+    stage1 = almost_invariant_pair(Z, eps)
     Z1 = stage1.good
-    stage2 = almost_invariant_pair(Z1, eta, scale=scale)
+    stage2 = almost_invariant_pair(Z1, eta)
     V, V1 = stage1.V, stage2.V
     f, g = stage1.f, stage2.f
 
@@ -919,7 +917,7 @@ def theorem_driver(
         ratio=ratio,
         headline_comparison=headline,
         seed=seed,
-        n_random_C=n_random_C,
+        n_random_C=N_RANDOM_C,
     )
     checks = _driver_checks(report)
     report = replace(report, checks=tuple(checks))

@@ -55,7 +55,7 @@ def _pair_sums(
     column chunk, in order.  A block of sums, plus row_entries more
     entries per row for the caller's own scratch, stays within
     _BLOCK_ENTRIES (one row when a row alone exceeds it), and so do the
-    digits of a column chunk.
+    rank digits per entry that add_indices computes from a column chunk.
     """
     cols = max(1, min(len(ys), _BLOCK_ENTRIES // spec.rank))
     rows = max(1, _BLOCK_ENTRIES // max(cols, row_entries))

@@ -256,6 +256,26 @@ class TestOtherCommands:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", "--epsilon", "1e400"], "got ~1.00000e+400"),
+            (["spectrum", "--epsilon=-3e5000"], "got ~-3.00000e+5000"),
+            (["spectrum", "--epsilon=-1/3"], "got -1/3"),
+            (["chang", "--kappa", "1e400", "--eta", "1"], "got ~1.00000e+400"),
+            (["chang", "--kappa", "1", "--eta", "2e400"], "got ~2.00000e+400"),
+            (["cover", "--delta=-1e-400"], "got ~-1.00000e-400"),
+        ],
+    )
+    def test_range_messages_stay_short(self, tmp_path, capsys, argv, message):
+        # a value with hundreds of digits shows six; a short one shows exactly
+        path = write_set(tmp_path, "z4.json", [4], [[0], [1]])
+        assert main([*argv, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert all(len(line) < 160 for line in err.splitlines())
+
     def test_pipeline_report(self, tmp_path, capsys):
         path = write_set(tmp_path, "sub.json", [2, 4], [[0, 0], [0, 2]])
         code = main(["pipeline", "--input", path])

@@ -1,15 +1,25 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statcover import GroupMismatchError, GroupSpec, GroupSet, subgroup_closure
+from statcover import (
+    GroupMismatchError,
+    GroupSet,
+    GroupSpec,
+    annihilator,
+    indicator,
+    spectrum,
+    statistical_cover,
+    subgroup_closure,
+)
 from statcover.groups import closure_indices
 
-from oracles import add_c, all_coords, closure_bfs
+from oracles import add_c, all_coords, closure_bfs, neg_c
 
 small_moduli = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3)
 
@@ -114,24 +124,64 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             spec.element_at(4)
 
-    def test_grid_matches_element_coordinates(self):
-        spec = GroupSpec((2, 3, 4))
-        assert spec._grid.dtype == np.int64
-        assert [tuple(row) for row in spec._grid.tolist()] == [
-            e.coords for e in spec.elements()
-        ]
 
-    def test_grid_build_peaks_at_grid_plus_arange(self):
-        spec = GroupSpec((2,) * 16)
-        spec._weights, spec._mods  # built outside the traced window
+class TestDigits:
+    def test_digits_match_element_coordinates(self):
+        spec = GroupSpec((2, 3, 4))
+        digits = spec.digits(spec._arange)
+        assert [(d.dtype, d.shape) for d in digits] == [(np.int64, (spec.order,))] * 3
+        assert list(zip(*(d.tolist() for d in digits))) == [e.coords for e in spec.elements()]
+        # each digit array takes the operand's shape; one index gives one digit each
+        assert [d.shape for d in spec.digits(spec._arange.reshape(4, 6))] == [(4, 6)] * 3
+        assert [int(d) for d in spec.digits(23)] == [1, 2, 3]
+
+    @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_element_at(self, mods, data):
+        spec = GroupSpec(tuple(mods))
+        idx = st.integers(min_value=0, max_value=spec.order - 1)
+        xs = data.draw(st.lists(idx, min_size=1, max_size=8))
+        digits = spec.digits(np.array(xs))
+        for k, x in enumerate(xs):
+            assert tuple(int(d[k]) for d in digits) == spec.element_at(x).coords
+
+    def test_order_limit(self):
+        # np.unravel_index takes fewer than 2**63 cells; Z_2^63 has 2**63
+        spec = GroupSpec((2,) * 63)
+        xs = np.array([2**63 - 1, 2**62, 5], dtype=np.int64)
+        digits = spec.digits(xs)
+        for k, x in enumerate(xs.tolist()):
+            assert [int(d[k]) for d in digits] == [x >> (62 - j) & 1 for j in range(63)]
+        assert spec.negate_indices(xs).tolist() == xs.tolist()
+
+    @pytest.mark.parametrize(
+        "mods",
+        [(7,), (3, 5), (2, 3, 4), (3, 4, 2, 3), (5, 2, 2, 3, 2), (3,) * 6, (2, 3, 2, 3, 2, 2, 3)],
+    )
+    def test_negate_matches_coordinate_negation(self, mods):
+        spec = GroupSpec(mods)
+        coords = all_coords(mods)
+        negated = spec.negate_indices(spec._arange.reshape(-1, 1))
+        assert negated.dtype == np.int64 and negated.shape == (spec.order, 1)
+        assert [coords[i] for i in negated.ravel().tolist()] == [neg_c(mods, c) for c in coords]
+
+    def test_cover_and_annihilator_hold_no_coordinate_table(self):
+        # a |G| x rank table of coordinates is 4.5 MiB at Z_3^10; the cover
+        # below needs the digits of a few indices, and the annihilator
+        # filter those of its candidates while it runs
+        spec = GroupSpec((3,) * 10)
+        A = GroupSet(spec, frozenset([0, 1, 3]))
+        A.index_array, spec._arange  # built outside the traced window
         tracemalloc.start()
         try:
-            grid = spec._grid
+            cert = statistical_cover(A, A, Fraction(1, 4))
+            ann = annihilator(spectrum(indicator(A), 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grid.shape == (2**16, 16)
-        assert peak <= 1.1 * (grid.nbytes + 8 * spec.order)
+        assert cert.valid
+        assert ann.indices == set(range(9))  # x_j = 0 for j < 8: Ann(Spec) = <A>
+        assert peak <= 8.5 * 2**20
 
 
 class TestExponentMinimality:
@@ -302,10 +352,23 @@ class TestAddIndices:
 
 
 class TestTranslateTable:
-    @pytest.mark.parametrize("mods", [(2, 3, 4), (7,), (2,) * 5, (6, 10), (3, 3, 3), (4, 6)])
+    # exponent 2 takes the xor table; 2-groups such as Z_16 and Z_2 x Z_4
+    # take the outer sum, as every other group does
+    @pytest.mark.parametrize(
+        "mods",
+        [(2, 3, 4), (7,), (6, 10), (3, 3, 3), (4, 6), (16,), (2, 4)]
+        + [(2,) * n for n in range(1, 9)],
+    )
     def test_matches_shift_indices_for_every_x(self, mods):
         spec = GroupSpec(mods)
         for x in range(spec.order):
+            table = spec._translate_table(x)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, spec.shift_indices(spec._arange, x))
+
+    def test_matches_shift_indices_for_sampled_x_in_z2_14(self):
+        spec = GroupSpec((2,) * 14)
+        for x in [0, 1, spec.order - 1] + random.Random(14).sample(range(spec.order), 40):
             table = spec._translate_table(x)
             assert table.dtype == np.int64
             assert np.array_equal(table, spec.shift_indices(spec._arange, x))

@@ -187,7 +187,7 @@ class TestTranslateMasks:
         # int64 sums (2 MiB), and two blocks meet when one hands over
         spec = GroupSpec(mods)
         A = generate_instance("random", spec, size=1536, seed=5)
-        A.index_array, spec._grid  # built outside the traced window
+        A.index_array  # built outside the traced window
         tracemalloc.start()
         try:
             S = A + A
@@ -204,7 +204,7 @@ class TestTranslateMasks:
         # 2**18 digit entries (2 MiB)
         spec = GroupSpec((3,) * 10)
         A, B = GroupSet(spec, frozenset([1, 500])), GroupSet.full(spec)
-        A.index_array, B.index_array, spec._grid  # built outside the traced window
+        A.index_array, B.index_array  # built outside the traced window
         tracemalloc.start()
         try:
             rows = translate_rows(B, A.index_array)
