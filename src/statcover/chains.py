@@ -9,7 +9,9 @@ A together with a density vector nu.  The three chain axioms are
                choices of next entry (prefixes outside L_{i-1} are free)
 
 Levels are stored explicitly so verification is an exact counting scan;
-sizes are capped because level sets grow like |A|^k.
+sizes are capped because level sets grow like |A|^k.  The summed energy
+of the top level walks chang's autocorrelation recurrence, the kernel
+chang._autocorrelation_step, over the prefix tree of the top tuples.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from .chang import _autocorrelation, _autocorrelation_step
 from .covering import verify_covered
-from .functions import RationalFunc, average_with_translate, indicator
-from .groups import GroupElement, require_same_spec
-from .sets import GroupSet, k_fold_sum
+from .functions import _INT64_BOUND, indicator
+from .groups import GroupElement, GroupSpec, require_same_spec
+from .sets import GroupSet, _pair_sums, k_fold_sum
 
 __all__ = [
     "Chain",
@@ -185,11 +190,23 @@ def covering_chain(
     return Chain(A, tuple(levels), nu)
 
 
+def _partial_sums(
+    spec: GroupSpec, x_idx: int, tuples: Sequence[tuple[int, ...]], positions: Sequence[int]
+) -> np.ndarray:
+    """Indices of x + sum_{pos in positions} t[pos], one per tuple t, one
+    add_indices call per position."""
+    total = np.full(len(tuples), x_idx, dtype=np.int64)
+    for pos in positions:
+        entries = np.array([t[pos] for t in tuples], dtype=np.int64)
+        total = spec.add_indices(total, entries)
+    return total
+
+
 def _covering_levels(
     A: GroupSet, X: GroupSet, x_idx: int, S: frozenset[int], k: int
 ) -> list[frozenset[tuple[int, ...]]]:
     spec = A.spec
-    a_idx = sorted(A.indices)
+    a_idx = A.index_array.tolist()
     if not S:
         levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
         for _ in range(k):
@@ -201,17 +218,19 @@ def _covering_levels(
     rest = S - {j}
     levels = _covering_levels(A, X, x_idx, rest, k)[:j]
 
-    target = (k_fold_sum(X, len(S)) + A).indices
-    # positions of the earlier selected coordinates within a length-(j-1) prefix
-    sel = sorted(s - 1 for s in rest)
+    target = np.zeros(spec.order, dtype=bool)
+    target[(k_fold_sum(X, len(S)) + A).index_array] = True
+    # x plus the earlier selected coordinates of each length-(j-1) prefix,
+    # then plus every a in A: the prefixes are the rows of one pair-sum table
+    prefixes = list(levels[j - 1])
+    partial = _partial_sums(spec, x_idx, prefixes, sorted(s - 1 for s in rest))
     new_level: set[tuple[int, ...]] = set()
-    for p in levels[j - 1]:
-        partial = x_idx
-        for pos in sel:
-            partial = spec.add_index(partial, p[pos])
-        for a in a_idx:
-            if spec.add_index(partial, a) in target:
-                new_level.add(p + (a,))
+    for rows, cols, sums in _pair_sums(spec, partial, A.index_array):
+        r, c = np.nonzero(target[sums])
+        new_level.update(
+            prefixes[i] + (a_idx[a],)
+            for i, a in zip((r + rows.start).tolist(), (c + cols.start).tolist())
+        )
     levels.append(frozenset(new_level))
     for _ in range(j + 1, k + 1):
         prev = levels[-1]
@@ -223,16 +242,10 @@ def chain_top_in_target(
     A: GroupSet, X: GroupSet, x: GroupElement, S: Sequence[int] | frozenset[int], chain: Chain
 ) -> bool:
     """Re-derive membership of every top-level tuple from sumset arithmetic."""
-    spec = A.spec
     S = frozenset(int(s) for s in S)
-    target = (k_fold_sum(X, len(S)) + A).indices
-    for t in chain.top:
-        total = x.index
-        for s in S:
-            total = spec.add_index(total, t[s - 1])
-        if total not in target:
-            return False
-    return True
+    target = k_fold_sum(X, len(S)) + A
+    totals = _partial_sums(A.spec, x.index, list(chain.top), [s - 1 for s in S])
+    return bool(np.isin(totals, target.index_array).all())
 
 
 @dataclass(frozen=True)
@@ -315,23 +328,60 @@ def energy_bound_check(
 
 
 def _summed_energy(A: GroupSet, chain: Chain) -> Fraction:
-    """Sum of ||1_A * mu_a||_2^2 over top tuples, sharing prefix convolutions."""
-    spec = A.spec
-    base = indicator(A)
-    total = Fraction(0)
-    stack: list[RationalFunc] = [base]
-    prev: tuple[int, ...] = ()
-    for t in sorted(chain.top):
+    """Sum of ||1_A * mu_t||_2^2 over the top tuples t, on chang's
+    autocorrelation recurrence.
+
+    1_A * mu_p has integer numerators over 2^|p|; let N_p be their
+    autocorrelation, so N_() = chang._autocorrelation(1_A) and a step along
+    a is chang._autocorrelation_step.  The energy of p + (a,) is
+    N_{p+(a,)}(0) / 4^(|p|+1) = (2 N_p(0) + N_p(a) + N_p(-a)) / 4^(|p|+1),
+    so each length k of top tuples gives one Fraction(sum, 4**k): the
+    sorted tuples are walked as a prefix tree with one N per depth, one
+    kernel step per internal node and two gathers per parent of leaves.
+    A valid chain's top has the one length chain.k.
+    """
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for t in chain.top:
+        by_length.setdefault(len(t), []).append(t)
+    if not by_length:
+        return Fraction(0)
+    N = _autocorrelation(indicator(A))
+    return sum(
+        (Fraction(_leaf_sum(A.spec, N, tuples, k), 4**k) for k, tuples in by_length.items()),
+        Fraction(0),
+    )
+
+
+def _leaf_sum(spec: GroupSpec, N: np.ndarray, tuples: list[tuple[int, ...]], k: int) -> int:
+    """4^k times the summed energy of `tuples`, all of length k, N the
+    autocorrelation of 1_A (see _summed_energy)."""
+    if k == 0:
+        return len(tuples) * int(N[0])
+    T = np.array(sorted(tuples), dtype=np.int64)
+    bad = T[(T < 0) | (T >= spec.order)]
+    if bad.size:
+        raise ValueError(f"element index {bad[0]} out of range [0, {spec.order})")
+    # N_p(0) <= |A| 4^|p| bounds every entry of N_p, and a parent's at most
+    # |G| leaves add at most 4 N_p(0) each
+    if spec.order * int(N[0]) * 4**k >= _INT64_BOUND:
+        N = N.astype(object)
+    last = T[:, -1]
+    neg = spec.negate_indices(last)
+    starts = np.flatnonzero(
+        np.concatenate(([True], (T[1:, :-1] != T[:-1, :-1]).any(axis=1)))
+    ).tolist()
+    total = 0
+    stack = [N]  # stack[d]: N of the first d entries of the current parent
+    prev: list[int] = []
+    for lo, hi in zip(starts, starts[1:] + [len(T)]):
+        parent = T[lo, :-1].tolist()
         common = 0
-        for a, b in zip(prev, t):
-            if a != b:
-                break
+        while common < len(prev) and prev[common] == parent[common]:
             common += 1
         del stack[common + 1 :]
-        for i in range(common, len(t)):
-            stack.append(
-                average_with_translate(stack[-1], spec.element_at(t[i]))
-            )
-        total += stack[-1].l2_norm_sq()
-        prev = t
+        for a in parent[common:]:
+            stack.append(_autocorrelation_step(spec, stack[-1], a)[0])
+        Np = stack[-1]
+        total += 2 * (hi - lo) * int(Np[0]) + int(Np[last[lo:hi]].sum()) + int(Np[neg[lo:hi]].sum())
+        prev = parent
     return total

@@ -17,8 +17,9 @@ denominator of h).  Beside them the iteration keeps their autocorrelation
 N(x) = sum_y num(y) num(y + x) over the whole group, which decides every
 test at once: den^2 ||g - tau_x g||_2^2 = 2 (N(0) - N(x)) and the energy is
 N(0) / den^2.  A step along a sets num' = num + num(. - a) and
-N' = 2 N + N(. - a) + N(. + a), two gathers and adds over G.  The first N
-is summed from integer pair products over supp h.
+N' = 2 N + N(. - a) + N(. + a), two gathers and adds over G, in the one
+kernel _autocorrelation_step that chains._summed_energy also walks.  The
+first N is summed from integer pair products over supp h.
 
 N is held in the dtype of the numerators it comes from.  |N(x)| <= N(0) =
 sum num^2 <= |G| max|num|^2, so every partial sum of an update is at most
@@ -40,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import RationalFunc, _brief, average_with_translate, convolve, mu_tuple
-from .groups import GroupElement, require_same_spec
+from .groups import GroupElement, GroupSpec, require_same_spec
 from .sets import GroupSet, _pair_sums
 
 __all__ = [
@@ -90,6 +91,21 @@ def _autocorrelation(h: RationalFunc) -> np.ndarray:
     return out
 
 
+def _autocorrelation_step(
+    spec: GroupSpec, N: np.ndarray, a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The autocorrelation 2 N + N(. - a) + N(. + a) of num + num(. - a), N
+    that of num and a an element index, and the table y -> y - a it read.
+
+    The one N update of the module and of chains._summed_energy.  Every
+    partial sum is at most 4 N(0), which the caller keeps within N's dtype.
+    """
+    fwd = spec._translate_table(a)  # y -> y + a
+    back = np.empty_like(fwd)
+    back[fwd] = spec._arange  # y -> y - a
+    return 2 * N + N[back] + N[fwd], back
+
+
 def _step(g: RationalFunc, N: np.ndarray, a: int) -> tuple[RationalFunc, np.ndarray]:
     """g * (delta_0 + delta_a) / 2 and its autocorrelation 2 N + N(. - a) + N(. + a),
     for a an element index.
@@ -97,15 +113,10 @@ def _step(g: RationalFunc, N: np.ndarray, a: int) -> tuple[RationalFunc, np.ndar
     The function is functions.average_with_translate's step, num + num(. - a)
     over 2 den, sharing its index table with the N update.
     """
-    spec = g.spec
-    fwd = spec._translate_table(a)  # y -> y + a
-    back = np.empty_like(fwd)
-    back[fwd] = spec._arange  # y -> y - a
     # every partial sum is at most 4 N(0) <= 4 |G| max|num|^2, which the
     # numerators' dtype holds
-    N = N.astype(g.num.dtype, copy=False)
-    N = 2 * N + N[back] + N[fwd]
-    return RationalFunc(spec, g.num + g.num[back], 2 * g.den), N
+    N, back = _autocorrelation_step(g.spec, N.astype(g.num.dtype, copy=False), a)
+    return RationalFunc(g.spec, g.num + g.num[back], 2 * g.den), N
 
 
 def _invariant(N: np.ndarray, xs: np.ndarray, kappa: Fraction) -> np.ndarray:
@@ -199,8 +210,10 @@ def energy_floor_steps(order: int, a_size: int, kappa: Fraction) -> int:
     unless it lies within a relative 1e-9 of an integer n; then n or n + 1
     is decided exactly.  kappa is checked against (0, 1] exactly, before
     any float conversion, and a kappa whose double is 0.0, or so small that
-    the bound overflows a double, raises ValueError.
+    the bound overflows a double, raises ValueError, as does a_size < 1.
     """
+    if a_size < 1:
+        raise ValueError(f"the set must be non-empty, got size {a_size}")
     kappa = Fraction(kappa)
     if not 0 < kappa <= 1:
         raise ValueError(f"kappa must lie in (0, 1], got {_brief(kappa)}")

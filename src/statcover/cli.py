@@ -117,6 +117,18 @@ def parse_set_file(path: str | Path) -> tuple[GroupSpec, GroupSet]:
     return spec, GroupSet(spec, frozenset(seen))
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        shown = text if len(text) <= 24 else text[:24] + "..."
+        raise argparse.ArgumentTypeError(f"must be an integer in [1, inf), got {shown!r}")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -291,6 +303,8 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 def _cmd_chang(args: argparse.Namespace) -> int:
     spec, A = parse_set_file(args.input)
+    if not A.indices:
+        raise SetFileError("chang needs a non-empty set")
     kappa = _parse_fraction(args.kappa)
     eta = _parse_fraction(args.eta)
     cap = energy_floor_steps(spec.order, len(A), kappa)
@@ -480,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=str, default=None)
     p.add_argument("--group", type=str, default=None)
     p.add_argument("--delta", type=str, required=True)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_count, default=50)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=_cmd_cover)
@@ -507,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="run the property suites on one group")
     p.add_argument("--group", required=True)
-    p.add_argument("--trials", type=int, default=12)
+    p.add_argument("--trials", type=_count, default=12)
     common(p)
     p.set_defaults(func=_cmd_verify_lemmas)
 

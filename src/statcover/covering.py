@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sets
 from .functions import _brief, convolve, indicator
-from .sets import GroupSet, k_fold_sum, sumset, translate_rows
+from .sets import GroupSet, k_fold_sum, own_translate_rows, sumset
 from .groups import require_same_spec
 
 __all__ = [
@@ -116,7 +116,7 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
         raise ValueError(f"delta must lie in (0, 1], got {_brief(delta)}")
 
     a_sorted = A.index_array
-    rows = translate_rows(B, a_sorted)
+    rows = own_translate_rows(B, a_sorted)
     need = (1 - delta) * len(B)
     # an integer count c has c < need exactly when c < ceil(need)
     union = rows[0].copy()
@@ -153,7 +153,7 @@ def ruzsa_cover(A: GroupSet, B: GroupSet) -> GroupSet:
     require_same_spec(A, B)
     if not A.indices or not B.indices:
         raise ValueError("covering needs non-empty A and B")
-    rows = translate_rows(B, A.index_array)
+    rows = own_translate_rows(B, A.index_array)
     # a translate is added when it misses the union: |row & union| < 1
     picked = _first_fit(rows, 1, np.zeros_like(rows[0]), 0)
     X = GroupSet(A.spec, A.index_array[picked])
@@ -183,8 +183,8 @@ def verify_covered(
     if not A.indices or not B.indices:
         raise ValueError("coverage check needs non-empty A and B")
     delta = Fraction(delta)
-    xb = np.bitwise_or.reduce(translate_rows(B, X.index_array), axis=0)
-    worst = int(_counts(translate_rows(B, A.index_array), xb).min())
+    xb = np.bitwise_or.reduce(own_translate_rows(B, X.index_array), axis=0)
+    worst = int(_counts(own_translate_rows(B, A.index_array), xb).min())
     return (worst >= (1 - delta) * len(B), Fraction(worst, len(B)))
 
 

@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import sets
 from .groups import Character, GroupSpec, _span_with
 from .functions import RationalFunc, _brief
 from .sets import GroupSet, _index_frozenset
@@ -223,7 +224,8 @@ def annihilator(chars: CharSet) -> GroupSet:
     span of those before it, so each at least doubles the span and there
     are at most log2 |<S>| filter passes.  In exponent 2 the bits of an
     index are its coordinates, so gamma(x) = 1 iff popcount(gamma & x) is
-    even and no digits are read.
+    even and no digits are read; otherwise the candidates' digits are read
+    in blocks of at most sets._BLOCK_ENTRIES entries.
     """
     spec = chars.spec
     r = spec.exponent
@@ -232,14 +234,18 @@ def annihilator(chars: CharSet) -> GroupSet:
     rest = rest[rest != 0]
     span = np.zeros(1, dtype=np.int64)
     in_span = np.zeros(spec.order, dtype=bool)
+    step = max(1, sets._BLOCK_ENTRIES // spec.rank)  # candidates per block of digits
     while cand.size > 1 and rest.size:
         ci = int(rest[0])
         if r == 2:
             cand = cand[np.bitwise_count(cand & ci) & 1 == 0]
         else:
             w = [int(c_j) * (r // m) % r for c_j, m in zip(spec.digits(ci), spec.moduli)]
-            phase = sum(x_j * w_j for x_j, w_j in zip(spec.digits(cand), w))
-            cand = cand[phase % r == 0]
+            keep = np.empty(cand.size, dtype=bool)
+            for lo in range(0, cand.size, step):
+                digits = spec.digits(cand[lo : lo + step])
+                keep[lo : lo + step] = sum(x_j * w_j for x_j, w_j in zip(digits, w)) % r == 0
+            cand = cand[keep]
         rest = rest[1:]
         if rest.size:  # extend the span only while S has characters outside it
             span = _span_with(spec, span, ci)

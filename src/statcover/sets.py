@@ -28,12 +28,14 @@ __all__ = [
     "generate_instance",
     "indices_to_mask",
     "translate_rows",
+    "own_translate_rows",
 ]
 
 INSTANCE_KINDS = ("random", "independent", "subgroup", "coset_union")
 
 
 _BLOCK_ENTRIES = 2**18  # entries per temporary block of the pair-sum, defect and family kernels
+_ROW_TABLE_BYTES = 2**27  # largest table of its own translate rows a GroupSet keeps
 
 
 def indices_to_mask(order: int, indices: Iterable[int]) -> int:
@@ -85,6 +87,27 @@ def translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
         block.reshape(-1)[sums] = True
         out[rows] |= np.packbits(block, axis=1, bitorder="little").view("<u8")
     return out
+
+
+def own_translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
+    """translate_rows(B, xs), read from the table of B's own translates.
+
+    When every x in xs lies in B, the rows come from translate_rows(B, B),
+    built on first use, kept on B read-only and picked out by searchsorted;
+    xs that is B.index_array itself gets the table itself.  Any other
+    request, or a table past _ROW_TABLE_BYTES, builds its rows per call.
+    """
+    own = B.index_array
+    if xs is own:
+        table = B._own_rows
+        return translate_rows(B, own) if table is None else table
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    pos = np.searchsorted(own, xs)
+    if xs.size and (pos < own.size).all() and (own[pos] == xs).all():
+        table = B._own_rows
+        if table is not None:
+            return table[pos]
+    return translate_rows(B, xs)
 
 
 def _index_frozenset(indices: Iterable[int] | np.ndarray) -> frozenset[int]:
@@ -172,6 +195,16 @@ class GroupSet:
     @cached_property
     def mask(self) -> int:
         return indices_to_mask(self.spec.order, self.indices)
+
+    @cached_property
+    def _own_rows(self) -> np.ndarray | None:
+        """translate_rows(self, index_array), read-only, or None when it would
+        pass _ROW_TABLE_BYTES; see own_translate_rows."""
+        if len(self) * -(-self.spec.order // 64) * 8 > _ROW_TABLE_BYTES:
+            return None
+        rows = translate_rows(self, self.index_array)
+        rows.flags.writeable = False
+        return rows
 
     # algebra -------------------------------------------------------------------
 

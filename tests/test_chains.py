@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statcover import (
     Chain,
@@ -18,7 +19,10 @@ from statcover import (
     verify_chain,
 )
 
-from oracles import energy_oracle
+from statcover.chains import _summed_energy
+from statcover.functions import average_with_translate, indicator
+
+from oracles import add_c, energy_oracle, k_fold_oracle, sumset_oracle
 
 
 def z7_setup():
@@ -282,3 +286,148 @@ class TestEnergyBound:
         assert chk.kx_size == len(
             (X + X).indices
         )
+
+
+# orders 7 to 16: 2-groups and others
+ENERGY_GROUPS = [(8,), (2, 2, 2), (2, 4), (16,), (7,), (3, 3), (12,)]
+
+
+def _per_leaf_energy(A, chain):
+    """The sum _summed_energy replaced: one RationalFunc per prefix-tree node
+    through average_with_translate, and one l2_norm_sq per top tuple."""
+    spec = A.spec
+    total = Fraction(0)
+    stack = [indicator(A)]
+    prev = ()
+    for t in sorted(chain.top):
+        common = 0
+        for a, b in zip(prev, t):
+            if a != b:
+                break
+            common += 1
+        del stack[common + 1 :]
+        for i in range(common, len(t)):
+            stack.append(average_with_translate(stack[-1], spec.element_at(t[i])))
+        total += stack[-1].l2_norm_sq()
+        prev = t
+    return total
+
+
+def _tuple_chain(A, top, k):
+    """A Chain with the given top of length-k tuples and its prefixes below."""
+    levels = tuple(frozenset(t[:i] for t in top) for i in range(k)) + (frozenset(top),)
+    if not top:
+        levels = (frozenset({()}),) * k + (frozenset(),)
+    return Chain(A, levels, (Fraction(1),) * k)
+
+
+def _draw_chain(data, spec):
+    """A base set of 1-4 elements and a depth-0..3 chain over it: a product,
+    an intersection of two products, a covering chain, or an arbitrary
+    subset of A^k."""
+    A = GroupSet(spec, data.draw(st.sets(st.integers(0, spec.order - 1), min_size=1, max_size=4)))
+    elems = sorted(A.indices)
+    k = data.draw(st.integers(0, 3))
+    kind = data.draw(st.sampled_from(["product", "intersected", "covering", "subset"]))
+    subset = st.sets(st.sampled_from(elems), min_size=1)
+    if k and kind == "product":
+        return A, product_chain(A, [GroupSet(spec, data.draw(subset)) for _ in range(k)])
+    if k and kind == "intersected":
+        f1 = [data.draw(subset) for _ in range(k)]
+        # each second factor meets the first, so nu1 + nu2 - 1 > 0
+        f2 = [set(A.indices) - f | {min(f)} | data.draw(st.sets(st.sampled_from(elems))) for f in f1]
+        return A, intersect_chains(
+            product_chain(A, [GroupSet(spec, f) for f in f1]),
+            product_chain(A, [GroupSet(spec, f) for f in f2]),
+        )
+    if k and kind == "covering":
+        delta = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
+        X = statistical_cover(A, A, delta).X.with_identity()
+        x = spec.element_at(data.draw(st.sampled_from(elems)))
+        S = data.draw(st.sets(st.integers(1, k)))
+        return A, covering_chain(A, X, delta, x, S, k)
+    top = data.draw(st.sets(st.tuples(*[st.sampled_from(elems)] * k), max_size=12))
+    return A, _tuple_chain(A, top, k)
+
+
+class TestSummedEnergy:
+    """_summed_energy on chang's autocorrelation recurrence."""
+
+    @given(st.sampled_from(ENERGY_GROUPS), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_energy_oracle(self, mods, data):
+        spec = GroupSpec(mods)
+        A, chain = _draw_chain(data, spec)
+        a_coords = {e.coords for e in A}
+        oracle = sum(
+            (energy_oracle(mods, a_coords, [spec.element_at(i).coords for i in t]) for t in chain.top),
+            Fraction(0),
+        )
+        assert _summed_energy(A, chain) == oracle
+
+    @given(st.sampled_from(ENERGY_GROUPS + [(4, 4, 4), (2,) * 6, (3, 3, 3)]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_leaf_sum(self, mods, data):
+        A, chain = _draw_chain(data, GroupSpec(mods))
+        assert _summed_energy(A, chain) == _per_leaf_energy(A, chain)
+
+    def test_depth_zero_and_empty_top(self):
+        spec = GroupSpec((7,))
+        A = GroupSet(spec, frozenset([0, 1, 3]))
+        assert _summed_energy(A, _tuple_chain(A, {()}, 0)) == 3
+        assert _summed_energy(A, _tuple_chain(A, set(), 0)) == 0
+        assert _summed_energy(A, _tuple_chain(A, set(), 2)) == 0
+
+    def test_mixed_lengths_sum_per_length(self):
+        # a top that fails the powers axiom still gets every tuple's energy
+        spec = GroupSpec((3, 3))
+        A = GroupSet(spec, frozenset([0, 1, 4]))
+        top = frozenset({(), (1,), (1, 4), (4, 0, 1), (4, 1)})
+        chain = Chain(A, (frozenset({()}), top), (Fraction(1),))
+        assert _summed_energy(A, chain) == _per_leaf_energy(A, chain)
+
+    def test_long_tuple_crosses_into_python_ints(self):
+        # |G| |A| 4^k = 8 * 3 * 4^30 passes int64, so N is walked as Python ints
+        spec = GroupSpec((8,))
+        A = GroupSet(spec, frozenset([0, 1, 3]))
+        chain = _tuple_chain(A, {(1,) * 30, (1,) * 29 + (3,), (3,) * 30}, 30)
+        assert _summed_energy(A, chain) == _per_leaf_energy(A, chain)
+
+    def test_entry_outside_the_group_is_rejected(self):
+        spec = GroupSpec((7,))
+        A = GroupSet(spec, frozenset([0, 1]))
+        chain = Chain(A, (frozenset({()}), frozenset({(1,), (7,)})), (Fraction(1),))
+        with pytest.raises(ValueError, match="out of range"):
+            _summed_energy(A, chain)
+
+
+class TestCoveringLevels:
+    @given(st.sampled_from(ENERGY_GROUPS), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_levels_match_selected_sum_oracle(self, mods, data):
+        # level i holds the t in A^i with x + sum_{s' in S, s' <= s} t_s' in
+        # |{s' in S : s' <= s}| X + A for every s in S up to i
+        spec = GroupSpec(mods)
+        A = GroupSet(spec, data.draw(st.sets(st.integers(0, spec.order - 1), min_size=1, max_size=4)))
+        X = statistical_cover(A, A, Fraction(1, 2)).X.with_identity()
+        x = data.draw(st.sampled_from(sorted(A.indices)))
+        k = data.draw(st.integers(1, 3))
+        S = sorted(data.draw(st.sets(st.integers(1, k))))
+        ch = covering_chain(A, X, Fraction(1, 2), spec.element_at(x), S, k)
+        co = {i: spec.element_at(i).coords for i in range(spec.order)}
+        a_co, x_co = [co[a] for a in A.indices], [co[i] for i in X.indices]
+        targets = {r: sumset_oracle(mods, k_fold_oracle(mods, x_co, r), a_co) for r in range(k + 1)}
+
+        def keeps(t):
+            total = co[x]
+            for r, s in enumerate((s for s in S if s <= len(t)), start=1):
+                total = add_c(mods, total, co[t[s - 1]])
+                if total not in targets[r]:
+                    return False
+            return True
+
+        levels = [frozenset({()})]
+        for i in range(1, k + 1):
+            levels.append(frozenset(p + (a,) for p in levels[-1] for a in A.indices if keeps(p + (a,))))
+        assert ch.levels == tuple(levels)
+        assert chain_top_in_target(A, X, spec.element_at(x), S, ch)

@@ -476,6 +476,11 @@ class TestEnergyFloorSteps:
         with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\]"):
             energy_floor_steps(8, 8, kappa)
 
+    @pytest.mark.parametrize("a_size", [0, -3])
+    def test_empty_set_is_refused(self, a_size):
+        with pytest.raises(ValueError, match="non-empty"):
+            energy_floor_steps(7, a_size, Fraction(1, 2))
+
     def test_kappa_below_the_least_double_is_refused(self):
         with pytest.raises(ValueError, match="least positive double"):
             energy_floor_steps(64, 3, Fraction(1, 10**400))

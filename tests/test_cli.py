@@ -337,6 +337,49 @@ class TestOtherCommands:
         assert "statistical-covering" in names and "pipeline-driver" in names
 
 
+class TestInputRanges:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chang", "--kappa", "1/2", "--eta", "1/2"], "chang needs a non-empty set"),
+            (["cover", "--delta", "1/2"], "needs non-empty A"),
+            (["spectrum", "--epsilon", "1/2"], "zero function"),
+            (["pipeline"], "A must be non-empty"),
+        ],
+    )
+    def test_empty_set_is_bad_input(self, tmp_path, capsys, argv, message):
+        path = write_set(tmp_path, "empty.json", [7], [])
+        assert main(argv + ["--input", path]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["cover", "--group", "7", "--delta", "1/2", "--count"], "-1"),
+            (["cover", "--group", "7", "--delta", "1/2", "--count"], "0"),
+            (["verify-lemmas", "--group", "7", "--trials"], "0"),
+            (["verify-lemmas", "--group", "7", "--trials"], "1.5"),
+            pytest.param(
+                ["verify-lemmas", "--group", "7", "--trials"], "-" + "9" * 400, id="400-digits"
+            ),
+        ],
+    )
+    def test_counts_below_one_are_bad_input(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be an integer in [1, inf)" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert all(len(line) < 160 for line in captured.err.splitlines())
+
+    def test_count_of_one_is_accepted(self, capsys):
+        assert main(["cover", "--group", "7", "--delta", "1/2", "--count", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == len(cli.FAMILIES)
+
+
 # a 3-element set in Z_2^30, whose order is past cli.MAX_COMPUTE_ORDER
 Z2_30 = [[0] * 30, [1] + [0] * 29, [0, 1] + [0] * 28]
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from statcover.fourier import (
     _dft_matrix,
     power_spectrum,
 )
+from statcover import sets
 from statcover.functions import RationalFunc
 
 from oracles import all_coords, annihilator_oracle, char_eval_oracle, dft_oracle
@@ -254,6 +256,40 @@ class TestAnnihilatorDifferential:
             assert {e.coords for e in got} == annihilator_oracle(
                 mods, [spec.character_at(c).coords for c in chars]
             )
+
+
+class TestAnnihilatorDigitBlocks:
+    """The non-exponent-2 filter reads candidate digits in blocks."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_small_blocks_match_one_block(self, data):
+        mods = data.draw(st.sampled_from([m for m in ANNIHILATOR_GROUPS if max(m) > 2]))
+        spec = GroupSpec(mods)
+        chars = CharSet(spec, frozenset(data.draw(st.sets(st.integers(0, spec.order - 1), max_size=4))))
+        whole = annihilator(chars)
+        budget = sets._BLOCK_ENTRIES
+        try:
+            sets._BLOCK_ENTRIES = data.draw(st.integers(1, 3 * spec.rank))
+            assert annihilator(chars) == whole
+        finally:
+            sets._BLOCK_ENTRIES = budget
+
+    def test_memory_stays_within_blocks(self):
+        # the digits of all 3**12 candidates at once take 48 MiB; a block
+        # holds at most 2**18 digit entries (2 MiB)
+        spec = GroupSpec((3,) * 12)
+        basis = [spec.index_of([0] * j + [1] + [0] * (11 - j)) for j in range(12)]
+        chars = CharSet(spec, frozenset(basis))
+        spec._arange  # built outside the traced window
+        tracemalloc.start()
+        try:
+            ann = annihilator(chars)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ann.indices == {0}
+        assert peak <= 24 * 2**20
 
 
 def signed_func(spec, rng, support):

@@ -20,7 +20,7 @@ from statcover import (
 )
 from statcover import covering, sets, statistical_cover
 from statcover.groups import GroupMismatchError
-from statcover.sets import translate_rows
+from statcover.sets import own_translate_rows, translate_rows
 
 from oracles import k_fold_oracle, sumset_oracle
 
@@ -213,6 +213,59 @@ class TestTranslateMasks:
             tracemalloc.stop()
         assert np.bitwise_count(rows).sum(axis=1).tolist() == [spec.order] * 2
         assert peak <= 3.5 * 2**20
+
+class TestOwnRows:
+    """Rows of B's own translates, built once per set and kept on it."""
+
+    @given(st.sampled_from(KERNEL_GROUPS), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_equal_translate_rows(self, mods, data):
+        spec = GroupSpec(mods)
+        B = draw_set(data, spec, min_size=1, max_size=12)
+        xs = data.draw(st.lists(st.sampled_from(sorted(B.indices)), min_size=1, max_size=6))
+        assert own_translate_rows(B, xs).tolist() == translate_rows(B, xs).tolist()
+        table = own_translate_rows(B, B.index_array)
+        assert table is B._own_rows
+        assert table.tolist() == translate_rows(B, B.index_array).tolist()
+
+    def test_request_outside_the_set_builds_no_table(self):
+        spec = GroupSpec((3, 5))
+        B = GroupSet(spec, frozenset([1, 4, 9]))
+        xs = [0, 4]  # 0 is not in B
+        assert own_translate_rows(B, xs).tolist() == translate_rows(B, xs).tolist()
+        assert "_own_rows" not in B.__dict__
+
+    def test_kept_table_is_read_only(self):
+        B = GroupSet(GroupSpec((12,)), frozenset([0, 5, 7]))
+        table = own_translate_rows(B, B.index_array)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        assert own_translate_rows(B, [7, 0]).flags.writeable
+
+    @pytest.mark.parametrize("mods", [(7,), (2, 3, 4, 5), (2,) * 7])
+    def test_past_the_budget_rows_are_built_per_call(self, mods, monkeypatch):
+        spec = GroupSpec(mods)
+        A = generate_instance("random", spec, size=min(spec.order, 9), seed=4)
+        delta = Fraction(1, 3)
+
+        def run(A):
+            cert = statistical_cover(A, A, delta)
+            X = cert.X.with_identity()
+            return (
+                own_translate_rows(A, A.index_array).tolist(), cert,
+                covering.verify_covered(A, cert.X, delta), covering.verify_covered(A, X, delta),
+                covering.ruzsa_cover(A, A),
+            )
+
+        kept = GroupSet(spec, A.indices)
+        with_table = run(kept)
+        assert kept._own_rows is not None
+        table_bytes = len(A) * -(-spec.order // 64) * 8
+        monkeypatch.setattr(sets, "_ROW_TABLE_BYTES", table_bytes - 1)
+        fresh = GroupSet(spec, A.indices)
+        assert run(fresh) == with_table
+        assert fresh._own_rows is None
+
 
 class TestDenseAndSparseSumset:
     @pytest.mark.parametrize("dense", [True, False])
