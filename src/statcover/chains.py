@@ -16,8 +16,11 @@ chang._autocorrelation_step, over the prefix tree of the top tuples.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain as _chain
 from typing import Sequence
 
 import numpy as np
@@ -88,25 +91,28 @@ def _check_caps(base_size: int, k: int) -> None:
 
 
 def verify_chain(chain: Chain) -> ChainCheck:
-    """Exact check of all three chain axioms."""
+    """Exact check of all three chain axioms, one pass per level.
+
+    Once the powers axiom holds, the fibre of p in L_i is the number of t
+    in L_i with t[:-1] == p, all counted by one Counter.  A failing level
+    is scanned again in its own order only to name the witness.
+    """
     A = chain.base.indices
     k = chain.k
-    if len(chain.levels) != k + 1:
-        return ChainCheck(False, "start", 0, None)
-    if chain.levels[0] != frozenset({()}):
+    if len(chain.levels) != k + 1 or chain.levels[0] != frozenset({()}):
         return ChainCheck(False, "start", 0, None)
     for i in range(1, k + 1):
-        for t in chain.levels[i]:
-            if len(t) != i or any(e not in A for e in t):
-                return ChainCheck(False, "powers", i, t)
-    size = len(A)
-    for i in range(1, k + 1):
-        need = chain.nu[i - 1] * size
         level = chain.levels[i]
-        for prefix in chain.levels[i - 1]:
-            count = sum(1 for a in A if prefix + (a,) in level)
-            if count < need:
-                return ChainCheck(False, "fibre-growth", i, prefix)
+        if not (set(map(len, level)) <= {i} and A.issuperset(_chain.from_iterable(level))):
+            bad = next(t for t in level if len(t) != i or any(e not in A for e in t))
+            return ChainCheck(False, "powers", i, bad)
+    for i in range(1, k + 1):
+        need = math.ceil(chain.nu[i - 1] * len(A))  # c < nu |A| iff c < need
+        prev = chain.levels[i - 1]
+        fibres = Counter(t[:-1] for t in chain.levels[i])
+        if min(map(fibres.__getitem__, prev), default=need) < need:
+            bad = next(p for p in prev if fibres[p] < need)
+            return ChainCheck(False, "fibre-growth", i, bad)
     return ChainCheck(True)
 
 
@@ -203,20 +209,21 @@ def _partial_sums(
 
 
 def _covering_levels(
-    A: GroupSet, X: GroupSet, x_idx: int, S: frozenset[int], k: int
+    A: GroupSet, X: GroupSet, x_idx: int, S: frozenset[int], depth: int
 ) -> list[frozenset[tuple[int, ...]]]:
+    """Levels L_0, ..., L_depth of the covering chain for S, max(S) <= depth."""
     spec = A.spec
     a_idx = A.index_array.tolist()
     if not S:
         levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
-        for _ in range(k):
+        for _ in range(depth):
             prev = levels[-1]
             levels.append(frozenset(p + (a,) for p in prev for a in a_idx))
         return levels
 
     j = max(S)
     rest = S - {j}
-    levels = _covering_levels(A, X, x_idx, rest, k)[:j]
+    levels = _covering_levels(A, X, x_idx, rest, j - 1)
 
     target = np.zeros(spec.order, dtype=bool)
     target[(k_fold_sum(X, len(S)) + A).index_array] = True
@@ -232,7 +239,7 @@ def _covering_levels(
             for i, a in zip((r + rows.start).tolist(), (c + cols.start).tolist())
         )
     levels.append(frozenset(new_level))
-    for _ in range(j + 1, k + 1):
+    for _ in range(j + 1, depth + 1):
         prev = levels[-1]
         levels.append(frozenset(p + (a,) for p in prev for a in a_idx))
     return levels

@@ -48,6 +48,8 @@ MAX_COMPUTE_ORDER = 2**20
 # cut short.
 CHANG_STEP_LIMIT = 1000
 
+MAX_SWEEP_COUNT = 1000  # instances per family in a `cover --group` sweep
+
 _GROUP_POWER = re.compile(r"^(\d+)\^(\d+)$")
 
 
@@ -126,6 +128,14 @@ def _count(text: str) -> int:
     if value < 1:
         shown = text if len(text) <= 24 else text[:24] + "..."
         raise argparse.ArgumentTypeError(f"must be an integer in [1, inf), got {shown!r}")
+    return value
+
+
+def _sweep_count(text: str) -> int:
+    """An argparse type: an integer of at least 1 and at most MAX_SWEEP_COUNT."""
+    value = _count(text)
+    if value > MAX_SWEEP_COUNT:
+        raise argparse.ArgumentTypeError(f"exceeds the sweep limit {MAX_SWEEP_COUNT}")
     return value
 
 
@@ -484,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--group", required=True)
     p.add_argument("--kind", choices=FAMILIES, default="random")
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--n-generators", type=int, default=None)
-    p.add_argument("--n-cosets", type=int, default=None)
+    p.add_argument("--size", type=_count, default=None)
+    p.add_argument("--n-generators", type=_count, default=None)
+    p.add_argument("--n-cosets", type=_count, default=None)
     common(p)
     p.set_defaults(func=_cmd_gen)
 
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=str, default=None)
     p.add_argument("--group", type=str, default=None)
     p.add_argument("--delta", type=str, required=True)
-    p.add_argument("--count", type=_count, default=50)
+    p.add_argument("--count", type=_sweep_count, default=50)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=_cmd_cover)

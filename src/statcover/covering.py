@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-import numpy as np
-
-from . import sets
 from .functions import _brief, convolve, indicator
-from .sets import GroupSet, k_fold_sum, own_translate_rows, sumset
+from .sets import GroupSet, k_fold_sum, own_row_masks
 from .groups import require_same_spec
 
 __all__ = [
@@ -55,51 +54,21 @@ class CoverCertificate:
         return Fraction(worst, len(self.B))
 
 
-def _counts(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """|row & mask| for each packed row, as int64, in blocks of sets._BLOCK_ENTRIES words."""
-    step = max(1, sets._BLOCK_ENTRIES // rows.shape[1])
-    return np.concatenate([
-        np.bitwise_count(rows[i : i + step] & mask).sum(axis=1, dtype=np.int64)
-        for i in range(0, len(rows), step)
-    ])
-
-
-def _popcount(mask: np.ndarray) -> int:
-    return int(np.bitwise_count(mask).sum(dtype=np.int64))
-
-
-_FIRST_WINDOW = 8  # rows counted at once right after an addition
-
-
-def _first_fit(rows: np.ndarray, need: int, union: np.ndarray, start: int) -> list[int]:
-    """Positions the first-fit greedy adds to `union` (updated in place).
+def _first_fit(rows: list[int], need: int, union: int, start: int) -> tuple[list[int], int]:
+    """Positions the first-fit greedy adds to `union`, and the grown union.
 
     Scanning in order from `start`, a row is added when |row & union| <
     need.  The union only grows, so a row that was not added is never
-    added later, and each scan resumes after the last addition; that is
-    the same sequence as rescanning from the top at every step.  Rows are
-    counted in windows that start at _FIRST_WINDOW rows after an addition
-    and double while no row in them falls short, up to the block budget,
-    so an addition costs at most twice the rows it scans plus one first
-    window.
+    added later, and one pass that reads each row once picks the same
+    sequence as rescanning from the top at every step.
     """
     picked: list[int] = []
-    cap = max(1, sets._BLOCK_ENTRIES // rows.shape[1])
-    width = min(_FIRST_WINDOW, cap)
-    i = start
-    while i < len(rows):
-        counts = np.bitwise_count(rows[i : i + width] & union).sum(axis=1)
-        below = np.flatnonzero(counts < need)
-        if not below.size:
-            i += width
-            width = min(2 * width, cap)
-            continue
-        i += int(below[0])
-        picked.append(i)
-        union |= rows[i]
-        i += 1
-        width = min(_FIRST_WINDOW, cap)
-    return picked
+    for i in range(start, len(rows)):
+        row = rows[i]
+        if (row & union).bit_count() < need:
+            picked.append(i)
+            union |= row
+    return picked, union
 
 
 def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverCertificate:
@@ -115,17 +84,16 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {_brief(delta)}")
 
-    a_sorted = A.index_array
-    rows = own_translate_rows(B, a_sorted)
+    a_sorted = A.index_array.tolist()
+    rows = own_row_masks(B, A.index_array)
     need = (1 - delta) * len(B)
     # an integer count c has c < need exactly when c < ceil(need)
-    union = rows[0].copy()
-    picked = [0] + _first_fit(rows, math.ceil(need), union, 1)
-    chosen = a_sorted[picked].tolist()
+    picked, union = _first_fit(rows, math.ceil(need), rows[0], 1)
+    chosen = [a_sorted[i] for i in [0] + picked]
 
-    K = Fraction(_popcount(np.bitwise_or.reduce(rows, axis=0)), len(B))
+    K = Fraction(reduce(or_, rows).bit_count(), len(B))
     bound = (K - 1) / delta + 1
-    per_x = dict(zip(a_sorted.tolist(), _counts(rows, union).tolist()))
+    per_x = {a: (row & union).bit_count() for a, row in zip(a_sorted, rows)}
     valid = len(chosen) <= bound and min(per_x.values()) >= need
     if not valid:
         raise RuntimeError(
@@ -153,14 +121,14 @@ def ruzsa_cover(A: GroupSet, B: GroupSet) -> GroupSet:
     require_same_spec(A, B)
     if not A.indices or not B.indices:
         raise ValueError("covering needs non-empty A and B")
-    rows = own_translate_rows(B, A.index_array)
+    rows = own_row_masks(B, A.index_array)
     # a translate is added when it misses the union: |row & union| < 1
-    picked = _first_fit(rows, 1, np.zeros_like(rows[0]), 0)
+    picked, union = _first_fit(rows, 1, 0, 0)
     X = GroupSet(A.spec, A.index_array[picked])
-    if len(X) * len(B) > _popcount(np.bitwise_or.reduce(rows, axis=0)):
+    if len(X) * len(B) > reduce(or_, rows).bit_count():
         raise RuntimeError("ruzsa covering size bound violated; this indicates a bug")
-    covered = sumset(X, B) - B
-    if not A.issubset(covered):
+    # a lies in X + B - B exactly when a + B meets X + B, the union
+    if not all(row & union for row in rows):
         raise RuntimeError("ruzsa covering postcondition violated; this indicates a bug")
     return X
 
@@ -183,8 +151,8 @@ def verify_covered(
     if not A.indices or not B.indices:
         raise ValueError("coverage check needs non-empty A and B")
     delta = Fraction(delta)
-    xb = np.bitwise_or.reduce(own_translate_rows(B, X.index_array), axis=0)
-    worst = int(_counts(own_translate_rows(B, A.index_array), xb).min())
+    xb = reduce(or_, own_row_masks(B, X.index_array), 0)
+    worst = min((row & xb).bit_count() for row in own_row_masks(B, A.index_array))
     return (worst >= (1 - delta) * len(B), Fraction(worst, len(B)))
 
 

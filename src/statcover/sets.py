@@ -28,7 +28,7 @@ __all__ = [
     "generate_instance",
     "indices_to_mask",
     "translate_rows",
-    "own_translate_rows",
+    "own_row_masks",
 ]
 
 INSTANCE_KINDS = ("random", "independent", "subgroup", "coset_union")
@@ -89,25 +89,38 @@ def translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
-def own_translate_rows(B: GroupSet, xs: Sequence[int] | np.ndarray) -> np.ndarray:
-    """translate_rows(B, xs), read from the table of B's own translates.
+def _row_ints(B: GroupSet, xs: np.ndarray) -> list[int]:
+    """translate_rows(B, xs) as int bitmasks (bit y <-> element index y),
+    built and converted a block of _BLOCK_ENTRIES words at a time."""
+    width = -(-B.spec.order // 64) * 8  # bytes per row
+    step = max(1, 8 * _BLOCK_ENTRIES // width)
+    out: list[int] = []
+    for i in range(0, len(xs), step):
+        raw = translate_rows(B, xs[i : i + step]).tobytes()
+        out.extend(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
+    return out
 
-    When every x in xs lies in B, the rows come from translate_rows(B, B),
-    built on first use, kept on B read-only and picked out by searchsorted;
-    xs that is B.index_array itself gets the table itself.  Any other
-    request, or a table past _ROW_TABLE_BYTES, builds its rows per call.
+
+def own_row_masks(B: GroupSet, xs: Sequence[int] | np.ndarray) -> list[int]:
+    """The masks of the translates x + B, one int per element index x in xs.
+
+    When every x in xs lies in B, the masks come from B's table of its own
+    translates (bit y <-> element index y, as GroupSet.mask), built on
+    first use, kept on B as a tuple and picked out by searchsorted; xs
+    that is B.index_array itself gets the whole table.  Any other request,
+    or a table past _ROW_TABLE_BYTES, builds its rows per call.
     """
     own = B.index_array
     if xs is own:
-        table = B._own_rows
-        return translate_rows(B, own) if table is None else table
+        table = B._row_masks
+        return _row_ints(B, own) if table is None else list(table)
     xs = np.asarray(xs, dtype=np.int64).reshape(-1)
     pos = np.searchsorted(own, xs)
     if xs.size and (pos < own.size).all() and (own[pos] == xs).all():
-        table = B._own_rows
+        table = B._row_masks
         if table is not None:
-            return table[pos]
-    return translate_rows(B, xs)
+            return [table[p] for p in pos.tolist()]
+    return _row_ints(B, xs)
 
 
 def _index_frozenset(indices: Iterable[int] | np.ndarray) -> frozenset[int]:
@@ -197,14 +210,12 @@ class GroupSet:
         return indices_to_mask(self.spec.order, self.indices)
 
     @cached_property
-    def _own_rows(self) -> np.ndarray | None:
-        """translate_rows(self, index_array), read-only, or None when it would
-        pass _ROW_TABLE_BYTES; see own_translate_rows."""
+    def _row_masks(self) -> tuple[int, ...] | None:
+        """The masks of index_array + self as a tuple of ints, or None when the
+        packed rows would pass _ROW_TABLE_BYTES; see own_row_masks."""
         if len(self) * -(-self.spec.order // 64) * 8 > _ROW_TABLE_BYTES:
             return None
-        rows = translate_rows(self, self.index_array)
-        rows.flags.writeable = False
-        return rows
+        return tuple(_row_ints(self, self.index_array))
 
     # algebra -------------------------------------------------------------------
 
@@ -337,6 +348,9 @@ def generate_instance(
     subgroup    closure of explicit `generators`, or of n_generators random ones
     coset_union a random subgroup plus n_cosets random coset representatives
     """
+    for name, value in (("size", size), ("n_generators", n_generators), ("n_cosets", n_cosets)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
     order = spec.order
     if kind == "random":

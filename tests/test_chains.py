@@ -19,7 +19,7 @@ from statcover import (
     verify_chain,
 )
 
-from statcover.chains import _summed_energy
+from statcover.chains import ChainCheck, _summed_energy
 from statcover.functions import average_with_translate, indicator
 
 from oracles import add_c, energy_oracle, k_fold_oracle, sumset_oracle
@@ -50,6 +50,14 @@ class TestVerifyChain:
         assert not out.ok
         assert out.axiom == "fibre-growth"
         assert out.witness == ()
+
+    @pytest.mark.parametrize("nu, ok", [(Fraction(2, 3), True), (Fraction(5, 6), False)])
+    def test_fractional_need_rounds_up(self, nu, ok):
+        # two of three extensions: 2 >= (2/3) 3, but 2 < (5/6) 3 = 5/2
+        spec = GroupSpec((7,))
+        A = GroupSet.from_elements(spec, [(0,), (1,), (2,)])
+        ch = Chain(A, (frozenset({()}), frozenset({(0,), (2,)})), (nu,))
+        assert verify_chain(ch) == (ChainCheck(True) if ok else ChainCheck(False, "fibre-growth", 1, ()))
 
     def test_empty_level_with_positive_density(self):
         spec = GroupSpec((3,))
@@ -82,6 +90,61 @@ class TestVerifyChain:
         )
         ch = Chain(A, levels, (Fraction(1, 2), Fraction(1)))
         assert verify_chain(ch).ok
+
+
+    @given(st.sampled_from([(7,), (8,), (2, 2, 2), (3, 3)]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_tuple_scan(self, mods, data):
+        # drawn chains (products, intersections and covering chains are
+        # valid), and the same chains broken on each axiom, get the same
+        # ChainCheck, witness included, as the loop verify_chain replaced
+        spec = GroupSpec(mods)
+        A, chain = _draw_chain(data, spec)
+        levels, nu, k = list(chain.levels), list(chain.nu), chain.k
+        broken = data.draw(st.sampled_from(["none", "start", "powers", "fibre-growth", "nu"]))
+        i = data.draw(st.integers(1, k)) if k else 0
+        outside = min(set(range(spec.order)) - A.indices)
+        if broken == "start":
+            if data.draw(st.booleans()) or not k:
+                levels[0] = frozenset({(min(A.indices),)})
+            else:
+                levels.pop()
+        elif broken == "powers" and k:
+            length = data.draw(st.sampled_from([i - 1, i, i + 1]))
+            entries = data.draw(st.lists(st.sampled_from(sorted(A.indices)), min_size=length, max_size=length))
+            if length == i:
+                entries[data.draw(st.integers(0, i - 1))] = outside
+            levels[i] = levels[i] | {tuple(entries)}
+        elif broken == "fibre-growth" and k:
+            dropped = data.draw(st.sets(st.sampled_from(sorted(levels[i])))) if levels[i] else set()
+            levels[i] = levels[i] - dropped
+        elif broken == "nu" and k:
+            nu[i - 1] = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=6))
+        broken_chain = Chain(A, tuple(levels), tuple(nu))
+        assert verify_chain(broken_chain) == _verify_chain_loop(broken_chain)
+
+
+def _verify_chain_loop(chain):
+    """The per-tuple, per-prefix scan verify_chain replaced."""
+    A = chain.base.indices
+    k = chain.k
+    if len(chain.levels) != k + 1:
+        return ChainCheck(False, "start", 0, None)
+    if chain.levels[0] != frozenset({()}):
+        return ChainCheck(False, "start", 0, None)
+    for i in range(1, k + 1):
+        for t in chain.levels[i]:
+            if len(t) != i or any(e not in A for e in t):
+                return ChainCheck(False, "powers", i, t)
+    size = len(A)
+    for i in range(1, k + 1):
+        need = chain.nu[i - 1] * size
+        level = chain.levels[i]
+        for prefix in chain.levels[i - 1]:
+            count = sum(1 for a in A if prefix + (a,) in level)
+            if count < need:
+                return ChainCheck(False, "fibre-growth", i, prefix)
+    return ChainCheck(True)
 
 
 class TestProductChain:

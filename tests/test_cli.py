@@ -375,6 +375,29 @@ class TestInputRanges:
         assert "Traceback" not in captured.err and captured.out == ""
         assert all(len(line) < 160 for line in captured.err.splitlines())
 
+    @pytest.mark.parametrize("option", ["--size", "--n-generators", "--n-cosets"])
+    @pytest.mark.parametrize("value", ["-3", "-1", "0"])
+    def test_gen_counts_below_one_are_bad_input(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--group", "8x8", "--kind", "coset_union", option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {option}: must be an integer in [1, inf), got '{value}'" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_sweep_count_past_the_limit_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_COUNT", 2)
+        assert main(["cover", "--group", "7", "--delta", "1/2", "--count", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 2 * len(cli.FAMILIES)
+        for value in ("3", "9" * 400):
+            with pytest.raises(SystemExit) as exc:
+                main(["cover", "--group", "7", "--delta", "1/2", "--count", value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --count: exceeds the sweep limit 2\n" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+            assert all(len(line) < 160 for line in captured.err.splitlines())
+
     def test_count_of_one_is_accepted(self, capsys):
         assert main(["cover", "--group", "7", "--delta", "1/2", "--count", "1"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == len(cli.FAMILIES)

@@ -21,7 +21,9 @@ from statcover.sets import indices_to_mask
 from oracles import (
     coverage_count_oracle,
     eq2_lhs_oracle,
+    neg_c,
     statistical_cover_oracle,
+    sumset_oracle,
 )
 
 
@@ -167,6 +169,39 @@ class TestRuzsaCover:
                     for j in range(i + 1, len(translates)):
                         assert not (translates[i] & translates[j])
 
+    @given(st.sampled_from([(7,), (12,), (3, 3), (2, 2, 2, 2), (5, 13), (2, 3, 4)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_postcondition_matches_sumset_oracle(self, mods, data):
+        # a lies in X + B - B exactly when a + B meets X + B; checked here on
+        # coordinate sumsets, for B = A and for B drawn apart
+        spec = GroupSpec(mods)
+        idx = st.integers(min_value=0, max_value=spec.order - 1)
+        A = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=10))))
+        if data.draw(st.booleans()):
+            B = A
+        else:
+            B = GroupSet(spec, frozenset(data.draw(st.sets(idx, min_size=1, max_size=10))))
+        X = ruzsa_cover(A, B)
+        b = [e.coords for e in B]
+        x_plus_b = sumset_oracle(mods, [e.coords for e in X], b)
+        assert {a.coords for a in A} <= sumset_oracle(mods, x_plus_b, [neg_c(mods, y) for y in b])
+        picked, union = [], set()  # first fit on disjoint translates
+        for a in A:
+            translate = sumset_oracle(mods, [a.coords], b)
+            if not translate & union:
+                picked.append(a.coords)
+                union |= translate
+        assert [e.coords for e in X] == picked
+
+    def test_postcondition_fails_on_a_short_cover(self, monkeypatch):
+        # 3 + B misses 0 + B, so X = {0} leaves 3 outside X + B - B
+        spec = GroupSpec((8,))
+        A = GroupSet(spec, frozenset([0, 3]))
+        B = GroupSet(spec, frozenset([0, 1]))
+        monkeypatch.setattr(covering, "_first_fit", lambda rows, need, union, start: ([0], rows[0]))
+        with pytest.raises(RuntimeError, match="postcondition"):
+            ruzsa_cover(A, B)
+
 
 class TestVerifyCovered:
     def test_subgroup_identity_cover(self):
@@ -256,29 +291,27 @@ class TestExtremeDeltas:
 
 class TestFirstFitWork:
     @pytest.mark.parametrize("skipped", [0, 2048, 4095])
-    def test_work_and_calls_stay_bounded(self, skipped, monkeypatch):
+    def test_work_and_calls_stay_bounded(self, skipped):
         # row i holds bit i alone, and the union already holds the bits of the
         # first `skipped` rows: the scan passes them over, then picks every
-        # later row; counting a whole block after each pick would count about
-        # 8.4M rows of 64 words at skipped = 0
+        # later row, reading each row once
         n = 4096
-        rows = np.zeros((n, n // 64), dtype="<u8")
-        rows[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n) % 64).astype("<u8")
-        union = np.bitwise_or.reduce(rows[:skipped], axis=0)
-        seen = {"calls": 0, "words": 0}
-        count = np.bitwise_count
 
-        def counted(a):
-            seen["calls"] += 1
-            seen["words"] += a.size
-            return count(a)
+        class CountedRows(list):
+            def __getitem__(self, i):
+                self.reads.append(i)
+                return super().__getitem__(i)
 
-        monkeypatch.setattr(np, "bitwise_count", counted)
-        picked = covering._first_fit(rows, 1, union, 0)
+        rows = CountedRows(1 << i for i in range(n))
+        rows.reads = []
+        union = (1 << skipped) - 1
+        picked, union = covering._first_fit(rows, 1, union, 0)
         assert picked == list(range(skipped, n))
-        # windows double through the skipped rows and restart after each pick
-        assert seen["words"] <= (2 * n + 8 * len(picked)) * 64
-        assert seen["calls"] <= len(picked) + 2 * 12
+        assert union == (1 << n) - 1
+        assert rows.reads == list(range(n))
+        rows.reads.clear()
+        assert covering._first_fit(rows, 1, 0, 5) == (list(range(5, n)), (1 << n) - (1 << 5))
+        assert rows.reads == list(range(5, n))
 
     def test_ruzsa_picks_every_disjoint_translate(self):
         spec = GroupSpec((2,) * 12)

@@ -20,7 +20,7 @@ from statcover import (
 )
 from statcover import covering, sets, statistical_cover
 from statcover.groups import GroupMismatchError
-from statcover.sets import own_translate_rows, translate_rows
+from statcover.sets import own_row_masks, translate_rows
 
 from oracles import k_fold_oracle, sumset_oracle
 
@@ -215,7 +215,7 @@ class TestTranslateMasks:
         assert peak <= 3.5 * 2**20
 
 class TestOwnRows:
-    """Rows of B's own translates, built once per set and kept on it."""
+    """Masks of B's own translates, built once per set and kept on it as ints."""
 
     @given(st.sampled_from(KERNEL_GROUPS), st.data())
     @settings(max_examples=25, deadline=None)
@@ -223,24 +223,29 @@ class TestOwnRows:
         spec = GroupSpec(mods)
         B = draw_set(data, spec, min_size=1, max_size=12)
         xs = data.draw(st.lists(st.sampled_from(sorted(B.indices)), min_size=1, max_size=6))
-        assert own_translate_rows(B, xs).tolist() == translate_rows(B, xs).tolist()
-        table = own_translate_rows(B, B.index_array)
-        assert table is B._own_rows
-        assert table.tolist() == translate_rows(B, B.index_array).tolist()
+        assert own_row_masks(B, xs) == [row_int(r) for r in translate_rows(B, xs)]
+        assert own_row_masks(B, xs) == [B.shifted(x).mask for x in xs]
+        table = own_row_masks(B, B.index_array)
+        assert table == list(B._row_masks)
+        assert table == [row_int(r) for r in translate_rows(B, B.index_array)]
 
     def test_request_outside_the_set_builds_no_table(self):
         spec = GroupSpec((3, 5))
         B = GroupSet(spec, frozenset([1, 4, 9]))
         xs = [0, 4]  # 0 is not in B
-        assert own_translate_rows(B, xs).tolist() == translate_rows(B, xs).tolist()
-        assert "_own_rows" not in B.__dict__
+        assert own_row_masks(B, xs) == [row_int(r) for r in translate_rows(B, xs)]
+        assert "_row_masks" not in B.__dict__
 
     def test_kept_table_is_read_only(self):
+        # the kept table is a tuple of ints, and callers get lists they may change
         B = GroupSet(GroupSpec((12,)), frozenset([0, 5, 7]))
-        table = own_translate_rows(B, B.index_array)
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
-        assert own_translate_rows(B, [7, 0]).flags.writeable
+        rows = own_row_masks(B, B.index_array)
+        rows[0] = 0
+        assert type(B._row_masks) is tuple
+        assert all(type(r) is int for r in B._row_masks)
+        assert B._row_masks[0] == B.mask and own_row_masks(B, B.index_array)[0] == B.mask
+        with pytest.raises(TypeError):
+            B._row_masks[0] = 1
 
     @pytest.mark.parametrize("mods", [(7,), (2, 3, 4, 5), (2,) * 7])
     def test_past_the_budget_rows_are_built_per_call(self, mods, monkeypatch):
@@ -252,19 +257,37 @@ class TestOwnRows:
             cert = statistical_cover(A, A, delta)
             X = cert.X.with_identity()
             return (
-                own_translate_rows(A, A.index_array).tolist(), cert,
+                own_row_masks(A, A.index_array), cert,
                 covering.verify_covered(A, cert.X, delta), covering.verify_covered(A, X, delta),
                 covering.ruzsa_cover(A, A),
             )
 
         kept = GroupSet(spec, A.indices)
         with_table = run(kept)
-        assert kept._own_rows is not None
+        assert kept._row_masks is not None
         table_bytes = len(A) * -(-spec.order // 64) * 8
         monkeypatch.setattr(sets, "_ROW_TABLE_BYTES", table_bytes - 1)
         fresh = GroupSet(spec, A.indices)
         assert run(fresh) == with_table
-        assert fresh._own_rows is None
+        assert fresh._row_masks is None
+
+    def test_rows_are_converted_a_block_at_a_time(self, monkeypatch):
+        # a block of 8 words holds one 512-bit row, so each call of
+        # translate_rows builds one row
+        spec = GroupSpec((512,))
+        B = generate_instance("random", spec, size=5, seed=2)
+        whole = own_row_masks(B, [0, 3, 9])
+        calls = []
+        build = sets.translate_rows
+
+        def counted(B, xs):
+            calls.append(len(xs))
+            return build(B, xs)
+
+        monkeypatch.setattr(sets, "_BLOCK_ENTRIES", 8)
+        monkeypatch.setattr(sets, "translate_rows", counted)
+        assert own_row_masks(B, [0, 3, 9]) == whole
+        assert calls == [1, 1, 1]
 
 
 class TestDenseAndSparseSumset:
@@ -378,6 +401,16 @@ class TestGenerators:
             (0, 1, 0),
             (0, 0, 1),
         }
+
+    @pytest.mark.parametrize("kind, option", [
+        ("random", "size"), ("subgroup", "n_generators"),
+        ("coset_union", "n_generators"), ("coset_union", "n_cosets"),
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_are_refused(self, kind, option, value):
+        spec = GroupSpec((8, 8))
+        with pytest.raises(ValueError, match=f"{option} must be at least 1, got {value}"):
+            generate_instance(kind, spec, **{option: value})
 
     def test_random_deterministic(self):
         spec = GroupSpec((13,))
