@@ -84,8 +84,33 @@ def _computable(spec: GroupSpec) -> GroupSpec:
     return spec
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """object_pairs_hook for json.loads: an object, refusing a repeated key."""
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise _RepeatedKey(key)
+        out[key] = value
+    return out
+
+
+def _require_json_ints(values: list[Any], where: str) -> None:
+    """Refuse any value but a JSON integer: floats, strings and booleans
+    (bool is a subclass of int) are named with their position."""
+    for j, value in enumerate(values):
+        if type(value) is not int:
+            shown = json.dumps(value) if isinstance(value, (bool, str)) else repr(value)
+            shown = shown if len(shown) <= 24 else shown[:24] + "..."
+            raise SetFileError(f"{where} position {j} must be a JSON integer, got {shown}")
+
+
 def parse_set_file(path: str | Path) -> tuple[GroupSpec, GroupSet]:
-    """Load and validate an instance file, rejecting out-of-range coordinates
+    """Load and validate an instance file, rejecting repeated keys, anything
+    but JSON integers as moduli and coordinates, out-of-range coordinates
     and duplicate elements."""
     path = Path(path)
     try:
@@ -93,24 +118,37 @@ def parse_set_file(path: str | Path) -> tuple[GroupSpec, GroupSet]:
     except OSError as exc:
         raise SetFileError(f"cannot read {path}: {exc}") from None
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SetFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except _RepeatedKey as exc:
+        raise SetFileError(f"{path}: repeated key {exc.args[0]!r}") from None
+    except RecursionError:
+        raise SetFileError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict) or "group" not in payload or "elements" not in payload:
         raise SetFileError(f"{path}: expected an object with 'group' and 'elements'")
+    group, elements = payload["group"], payload["elements"]
+    if not isinstance(group, list) or not isinstance(elements, list):
+        raise SetFileError(f"{path}: 'group' and 'elements' must be lists")
+    _require_json_ints(group, f"{path}: group")
     try:
-        spec = GroupSpec(tuple(int(m) for m in payload["group"]))
+        spec = GroupSpec(tuple(group))
     except (TypeError, ValueError) as exc:
         raise SetFileError(f"{path}: bad group: {exc}") from None
     _computable(spec)
     seen: set[int] = set()
-    for pos, coords in enumerate(payload["elements"]):
-        if not isinstance(coords, (list, tuple)):
+    for pos, coords in enumerate(elements):
+        if not isinstance(coords, list):
             raise SetFileError(f"{path}: element {pos} is not a coordinate list")
+        if len(coords) != spec.rank:
+            raise SetFileError(
+                f"{path}: element {pos} has {len(coords)} coordinates, expected {spec.rank}"
+            )
+        _require_json_ints(coords, f"{path}: element {pos},")
         try:
-            idx = spec.index_of([int(c) for c in coords])
+            idx = spec.index_of(coords)
         except (TypeError, ValueError) as exc:
             raise SetFileError(f"{path}: element {pos}: {exc}") from None
         if idx in seen:

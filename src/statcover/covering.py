@@ -5,12 +5,12 @@ translate whose overlap with the growing union falls short of the target
 fraction; ruzsa_cover is the separate disjoint-translates argument (it is
 not the delta = 1 specialization, whose add-condition is vacuous).
 verify_iterated_cover checks the convolution-power lower bound that a
-covering certificate implies.  All comparisons are exact rationals.
+covering certificate implies.  All comparisons are exact, on integers or
+rationals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -75,7 +75,7 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
     """Greedy covering: X subset of A with |(x+B) & (X+B)| >= (1-delta)|B| for all x in A.
 
     The certificate always satisfies |X| <= (K-1)/delta + 1 with
-    K = |A+B|/|B| compared as exact rationals.
+    K = |A+B|/|B|, decided exactly on integers.
     """
     require_same_spec(A, B)
     if not A.indices or not B.indices:
@@ -86,15 +86,17 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
 
     a_sorted = A.index_array.tolist()
     rows = own_row_masks(B, A.index_array)
-    need = (1 - delta) * len(B)
-    # an integer count c has c < need exactly when c < ceil(need)
-    picked, union = _first_fit(rows, math.ceil(need), rows[0], 1)
+    b, p, q = len(B), delta.numerator, delta.denominator
+    # a count c has c >= (1 - delta) b exactly when c q >= (q - p) b, that is
+    # when c >= need = ceil((q - p) b / q)
+    need = -(-(q - p) * b // q)
+    picked, union = _first_fit(rows, need, rows[0], 1)
     chosen = [a_sorted[i] for i in [0] + picked]
 
-    K = Fraction(reduce(or_, rows).bit_count(), len(B))
-    bound = (K - 1) / delta + 1
+    # with K = s / b, |X| <= (K - 1) / delta + 1 exactly when |X| b p <= (s - b) q + b p
+    s = reduce(or_, rows).bit_count()
     per_x = {a: (row & union).bit_count() for a, row in zip(a_sorted, rows)}
-    valid = len(chosen) <= bound and min(per_x.values()) >= need
+    valid = len(chosen) * b * p <= (s - b) * q + b * p and min(per_x.values()) >= need
     if not valid:
         raise RuntimeError(
             "statistical covering invariant violated; this indicates a bug"
@@ -104,8 +106,8 @@ def statistical_cover(A: GroupSet, B: GroupSet, delta: Fraction | int) -> CoverC
         B=B,
         X=GroupSet(A.spec, frozenset(chosen)),
         delta=delta,
-        K=K,
-        size_bound=bound,
+        K=Fraction(s, b),
+        size_bound=Fraction((s - b) * q + b * p, b * p),
         per_x_coverage=per_x,
         trace=tuple(chosen),
         valid=True,
@@ -151,9 +153,14 @@ def verify_covered(
     if not A.indices or not B.indices:
         raise ValueError("coverage check needs non-empty A and B")
     delta = Fraction(delta)
+    b, p, q = len(B), delta.numerator, delta.denominator
+    # A's rows first: they build B's table when A lies in B, and X's rows
+    # outside B (the identity of X.with_identity()) then read it
+    rows = own_row_masks(B, A.index_array)
     xb = reduce(or_, own_row_masks(B, X.index_array), 0)
-    worst = min((row & xb).bit_count() for row in own_row_masks(B, A.index_array))
-    return (worst >= (1 - delta) * len(B), Fraction(worst, len(B)))
+    worst = min((row & xb).bit_count() for row in rows)
+    # worst >= (1 - delta) b, decided on integers for delta = p / q
+    return (worst * q >= (q - p) * b, Fraction(worst, b))
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,62 @@ class GroupSpec:
             table = axis if table is None else np.add.outer(table, axis)
         return table.reshape(-1)
 
+    # translate bitmasks --------------------------------------------------------
+
+    def _digit_mask(self, j: int, t: int) -> int:
+        """The mask of the indices whose digit j is below t (bit y <-> index y).
+
+        Within each period of m_j w_j indices those are the lowest t w_j, so
+        with `ones` the first bit of every period the mask is
+        ones * (2^(t w_j) - 1) = (ones << t w_j) - ones.
+        """
+        period, n = self.moduli[j] * self._weights[j], self.order
+        ones, span = 1, period
+        while span < n:  # double the copies until they fill the group
+            ones |= ones << span
+            span *= 2
+        ones &= self._full_mask
+        return (ones << t * self._weights[j]) - ones
+
+    @cached_property
+    def _mask_axes(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(m_j, w_j, lows_j) per axis j below the top, for _shift_mask, with
+        lows_j[t - 1] = _digit_mask(j, t) for t = 1, ..., m_j - 1.  A cyclic
+        group has none; sets._by_shifts shifts no other group of order past
+        64, so a spec holds at most 31 masks of one word (Z_2 x Z_32)."""
+        return tuple(
+            (m, w, tuple(self._digit_mask(j, t) for t in range(1, m)))
+            for j, (m, w) in enumerate(zip(self.moduli, self._weights))
+            if j
+        )
+
+    @cached_property
+    def _full_mask(self) -> int:
+        return (1 << self.order) - 1
+
+    def _shift_mask(self, mask: int, by: int) -> int:
+        """The mask of b + S from the mask of S (bit y <-> element index y, as
+        GroupSet.mask), b the index `by`.
+
+        A digit d of b on axis j moves the indices whose digit j is below
+        m_j - d (the mask L) up by d w_j, and the rest down by (m_j - d) w_j:
+        ((S & L) << d w_j) | ((S & ~L) >> (m_j - d) w_j).  On the top axis
+        that is a rotation of the whole mask, so it needs no L; the L of the
+        other axes come from _mask_axes, which only groups of order up to 64
+        may build (see there).
+        """
+        top = self._weights[0]
+        d, by = divmod(int(by), top)
+        if d:
+            s = d * top
+            mask = (mask << s | mask >> self.order - s) & self._full_mask
+        for m, w, lows in self._mask_axes:
+            d, by = divmod(by, w)
+            if d:
+                low = mask & lows[m - d - 1]
+                mask = low << d * w | (mask ^ low) >> (m - d) * w
+        return mask
+
     # characters ---------------------------------------------------------------
 
     def character(self, coords: Sequence[int]) -> "Character":

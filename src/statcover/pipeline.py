@@ -734,13 +734,10 @@ def _driver_checks(report: PipelineReport) -> list[CheckRecord]:
         CheckRecord("final-petridis-ratio", K3, az2, "<=", K3 <= az2)
     )
     Z3, V3 = report.Z3, report.V3
+    gen3 = subgroup_closure(Z3)
     checks.append(
         CheckRecord(
-            "v3-is-generated-subgroup",
-            len(V3),
-            len(subgroup_closure(Z3)),
-            "==",
-            V3.indices == subgroup_closure(Z3).indices,
+            "v3-is-generated-subgroup", len(V3), len(gen3), "==", V3.indices == gen3.indices
         )
     )
     checks.append(

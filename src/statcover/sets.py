@@ -36,15 +36,32 @@ INSTANCE_KINDS = ("random", "independent", "subgroup", "coset_union")
 
 _BLOCK_ENTRIES = 2**18  # entries per temporary block of the pair-sum, defect and family kernels
 _ROW_TABLE_BYTES = 2**27  # largest table of its own translate rows a GroupSet keeps
+_SMALL_MASK = 16  # indices_to_mask ORs in at most this many indices one at a time
 
 
-def indices_to_mask(order: int, indices: Iterable[int]) -> int:
-    """Pack element indices into an int bitmask (bit i <-> element index i)."""
-    buf = np.zeros(order, dtype=bool)
-    idx = list(indices)
-    if idx:
+def indices_to_mask(order: int, indices: Iterable[int] | np.ndarray) -> int:
+    """Pack element indices into an int bitmask (bit i <-> element index i).
+
+    Up to _SMALL_MASK indices are ORed in one at a time; more are scattered
+    into a |G| bool array and packed, which costs a few numpy calls whatever
+    the count.  An index outside [0, order) raises IndexError.
+    """
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    if len(indices) > _SMALL_MASK:
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.min() < 0:
+            raise IndexError(f"element index {idx.min()} out of range [0, {order})")
+        buf = np.zeros(order, dtype=bool)
         buf[idx] = True
-    return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+        return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+    mask = 0
+    for i in indices.tolist() if isinstance(indices, np.ndarray) else indices:
+        i = int(i)
+        if not 0 <= i < order:
+            raise IndexError(f"element index {i} out of range [0, {order})")
+        mask |= 1 << i
+    return mask
 
 
 def _pair_sums(
@@ -101,26 +118,51 @@ def _row_ints(B: GroupSet, xs: np.ndarray) -> list[int]:
     return out
 
 
+def _by_shifts(spec: GroupSpec) -> bool:
+    """Whether translates x + B, rows and dense sumsets alike, are built as
+    GroupSpec._shift_mask shifts of B's mask rather than as index sums: in
+    a cyclic group, where a shift is one rotation, and in a group of order
+    at most 64, where a mask is one word.  The README gives the grid and
+    the benchmark runs behind the rule."""
+    return spec.rank == 1 or spec.order <= 64
+
+
+def _translate_masks(B: GroupSet, xs: np.ndarray) -> list[int]:
+    """The masks of x + B for each element index x in xs: shifts of B.mask,
+    or packed index sums (_row_ints), as _by_shifts chooses."""
+    if _by_shifts(B.spec):
+        shift, mask = B.spec._shift_mask, B.mask
+        return [shift(mask, x) for x in xs.tolist()]
+    return _row_ints(B, xs)
+
+
 def own_row_masks(B: GroupSet, xs: Sequence[int] | np.ndarray) -> list[int]:
     """The masks of the translates x + B, one int per element index x in xs.
 
-    When every x in xs lies in B, the masks come from B's table of its own
-    translates (bit y <-> element index y, as GroupSet.mask), built on
-    first use, kept on B as a tuple and picked out by searchsorted; xs
-    that is B.index_array itself gets the whole table.  Any other request,
-    or a table past _ROW_TABLE_BYTES, builds its rows per call.
+    The one row source of the covering code.  Rows of xs in B come from B's
+    table of its own translates (bit y <-> element index y, as
+    GroupSet.mask), kept on B as a tuple and picked out by searchsorted; a
+    request of xs all in B builds the table on first use, one with some x
+    outside B only reads a table already built, and xs that is
+    B.index_array itself gets the whole table.  Every other row, and every
+    row past _ROW_TABLE_BYTES, is built per call by _translate_masks.
     """
     own = B.index_array
     if xs is own:
         table = B._row_masks
-        return _row_ints(B, own) if table is None else list(table)
+        return _translate_masks(B, own) if table is None else list(table)
     xs = np.asarray(xs, dtype=np.int64).reshape(-1)
     pos = np.searchsorted(own, xs)
-    if xs.size and (pos < own.size).all() and (own[pos] == xs).all():
-        table = B._row_masks
-        if table is not None:
-            return [table[p] for p in pos.tolist()]
-    return _row_ints(B, xs)
+    inside = own[np.minimum(pos, own.size - 1)] == xs if own.size else np.zeros(xs.size, bool)
+    if not inside.any():
+        return _translate_masks(B, xs)
+    table = B._row_masks if inside.all() else B.__dict__.get("_row_masks")
+    if table is None:
+        return _translate_masks(B, xs)
+    if inside.all():
+        return [table[p] for p in pos.tolist()]
+    built = iter(_translate_masks(B, xs[~inside]))
+    return [table[p] if hit else next(built) for p, hit in zip(pos.tolist(), inside.tolist())]
 
 
 def _index_frozenset(indices: Iterable[int] | np.ndarray) -> frozenset[int]:
@@ -207,7 +249,7 @@ class GroupSet:
 
     @cached_property
     def mask(self) -> int:
-        return indices_to_mask(self.spec.order, self.indices)
+        return indices_to_mask(self.spec.order, self.index_array)
 
     @cached_property
     def _row_masks(self) -> tuple[int, ...] | None:
@@ -215,7 +257,7 @@ class GroupSet:
         packed rows would pass _ROW_TABLE_BYTES; see own_row_masks."""
         if len(self) * -(-self.spec.order // 64) * 8 > _ROW_TABLE_BYTES:
             return None
-        return tuple(_row_ints(self, self.index_array))
+        return tuple(_translate_masks(self, self.index_array))
 
     # algebra -------------------------------------------------------------------
 
@@ -263,14 +305,26 @@ class GroupSet:
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     """{a + b : a in A, b in B}; empty if either operand is empty.
 
-    Dense inputs (|A| |B| 8 >= |G|) scatter each block of sums into one
-    |G| bool mask; sparse ones sort the sums and drop adjacent repeats.
+    Dense inputs (|A| |B| 8 >= |G|) OR together the shifts of the larger
+    operand's mask over the smaller operand's elements where _by_shifts
+    chooses them, and the result keeps that mask; otherwise they scatter
+    each block of sums into one |G| bool mask.  Sparse inputs sort the sums
+    and drop adjacent repeats.
     """
     require_same_spec(A, B)
     if not A.indices or not B.indices:
         return GroupSet.empty(A.spec)
     spec = A.spec
     if len(A) * len(B) * 8 >= spec.order:
+        small, large = (A, B) if len(A) <= len(B) else (B, A)
+        if _by_shifts(spec):
+            shift, mask, hit = spec._shift_mask, large.mask, 0
+            for x in small.index_array.tolist():  # one shift alive at a time
+                hit |= shift(mask, x)
+            raw = np.frombuffer(hit.to_bytes(-(-spec.order // 8), "little"), dtype=np.uint8)
+            out = GroupSet(spec, np.flatnonzero(np.unpackbits(raw, bitorder="little")))
+            out.__dict__["mask"] = hit
+            return out
         hit = np.zeros(spec.order, dtype=bool)
         for _, _, sums in _pair_sums(spec, A.index_array, B.index_array):
             hit[sums] = True

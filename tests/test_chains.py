@@ -59,6 +59,17 @@ class TestVerifyChain:
         ch = Chain(A, (frozenset({()}), frozenset({(0,), (2,)})), (nu,))
         assert verify_chain(ch) == (ChainCheck(True) if ok else ChainCheck(False, "fibre-growth", 1, ()))
 
+    @pytest.mark.parametrize("short", range(5))
+    def test_fibre_witness_is_below_the_need(self, short):
+        # need at level 2 is (3/5) 5 = 3; every prefix has exactly 3
+        # extensions except `short`, which has 2, so only it may be named
+        spec = GroupSpec((7,))
+        A = GroupSet.from_elements(spec, [(a,) for a in range(5)])
+        level1 = frozenset((a,) for a in range(5))
+        level2 = frozenset((a, b) for a in range(5) for b in range(2 if a == short else 3))
+        ch = Chain(A, (frozenset({()}), level1, level2), (Fraction(1), Fraction(3, 5)))
+        assert verify_chain(ch) == ChainCheck(False, "fibre-growth", 2, (short,))
+
     def test_empty_level_with_positive_density(self):
         spec = GroupSpec((3,))
         A = GroupSet.full(spec)

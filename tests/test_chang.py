@@ -56,6 +56,14 @@ class TestInvariantSet:
         with pytest.raises(ValueError):
             invariant_set(RationalFunc.zero(spec), GroupSet.full(spec), (), Fraction(1))
 
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1) + Fraction(1, 10**12)])
+    def test_kappa_outside_the_half_open_unit_interval_is_rejected(self, kappa):
+        # kappa = 1 is accepted (test_point_mass_in_z2); 0 and just past 1 are not
+        spec = GroupSpec((3,))
+        h = indicator(GroupSet.full(spec))
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            invariant_set(h, GroupSet.full(spec), (), kappa)
+
 
 class TestDecrementCheck:
     def test_halving_example(self):

@@ -62,6 +62,33 @@ class TestSetFiles:
         assert main(["cover", "--input", path, "--delta", "1/2"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # JSON reads 1e400 as an infinite float
+            ('{"group": [4], "elements": [[1e400]]}', "element 0, position 0 must be a JSON integer, got inf"),
+            ('{"group": [4.9, "3"], "elements": [[1, 2]]}', "group position 0 must be a JSON integer, got 4.9"),
+            ('{"group": [4, "3"], "elements": [[1, 2]]}', 'group position 1 must be a JSON integer, got "3"'),
+            ('{"group": [4, 3], "elements": [[1, 2], [1.7, 2]]}', "element 1, position 0 must be a JSON integer, got 1.7"),
+            ('{"group": [4, 3], "elements": [[1, "2"]]}', 'element 0, position 1 must be a JSON integer, got "2"'),
+            ('{"group": [4, 3], "elements": [[true, 0]]}', "element 0, position 0 must be a JSON integer, got true"),
+            ('{"group": [4, 3], "elements": [[1]]}', "element 0 has 1 coordinates, expected 2"),
+            ('{"group": "4x3", "elements": [[1, 2]]}', "must be lists"),
+            ('{"group": [4], "group": [5], "elements": [[1]]}', "repeated key 'group'"),
+        ],
+    )
+    def test_only_json_integers_and_unique_keys(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["cover", "--input", str(path), "--delta", "1/2"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_deep_nesting_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["cover", "--input", str(path), "--delta", "1/2"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestGen:
     def test_deterministic_output(self, tmp_path):

@@ -101,6 +101,24 @@ class TestStatisticalCover:
         ok, _ = verify_covered(A, cert.X, Fraction(1))
         assert ok  # threshold zero is vacuous
 
+    def test_integer_decisions_match_the_rationals(self):
+        # every delta p/q with q <= 6; |B| = 5 puts the coverage exactly on
+        # the threshold for q = 5
+        spec = GroupSpec((3, 4))
+        rng = random.Random(5)
+        for _ in range(6):
+            A = generate_instance("random", spec, size=5, seed=rng.getrandbits(30))
+            X = GroupSet(spec, rng.sample(sorted(A.indices), 2))
+            for q in range(1, 7):
+                for p in range(1, q + 1):
+                    delta = Fraction(p, q)
+                    ok, frac = verify_covered(A, X, delta)
+                    assert type(frac) is Fraction and ok == (frac >= 1 - delta)
+                    cert = statistical_cover(A, A, delta)
+                    assert type(cert.K) is Fraction and type(cert.size_bound) is Fraction
+                    assert cert.size_bound == (cert.K - 1) / delta + 1
+                    assert len(cert.X) <= cert.size_bound
+
     def test_rejects_bad_inputs(self):
         spec, A = z7_interval()
         with pytest.raises(ValueError):

@@ -16,8 +16,10 @@ from statcover import (
     spectrum,
     statistical_cover,
     subgroup_closure,
+    sumset,
 )
 from statcover.groups import closure_indices
+from statcover.sets import indices_to_mask, own_row_masks
 
 from oracles import add_c, all_coords, closure_bfs, neg_c
 
@@ -388,3 +390,51 @@ class TestTranslateTable:
             table = spec._translate_table(x).tolist()
             xc = spec.element_at(x).coords
             assert [coords[i] for i in table] == [add_c(mods, y, xc) for y in coords]
+
+
+# cyclic, mixed radix, bit-field 2-groups of exponent 2 and above, and ranks 6 to 8
+SHIFT_GROUPS = [
+    (7,), (64,), (65,), (2, 3, 4, 5), (6, 10), (2, 4, 8), (16, 4),
+    (2,) * 7, (3,) * 6, (2, 3, 2, 3, 2, 5), (4,) + (2,) * 7,
+]
+
+
+def shifted_mask(spec, members, x):
+    """The mask of x + members, from the index sums of shift_indices."""
+    shifted = spec.shift_indices(np.array(sorted(members), dtype=np.int64), x)
+    return indices_to_mask(spec.order, shifted.tolist())
+
+
+class TestShiftMask:
+    @given(st.sampled_from(SHIFT_GROUPS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_shifted_indices(self, mods, data):
+        spec = GroupSpec(mods)
+        members = data.draw(st.sets(st.integers(0, spec.order - 1)))
+        x = data.draw(st.one_of(st.just(0), st.integers(0, spec.order - 1)))
+        got = spec._shift_mask(indices_to_mask(spec.order, members), x)
+        assert got == shifted_mask(spec, members, x)
+        assert got >> spec.order == 0
+
+    def test_digit_masks_only_in_small_groups(self):
+        # a group of order up to 64 keeps at most 31 one-word masks; past
+        # that only cyclic groups take shifts, so the row source and sumset
+        # build no digit mask there
+        for mods in [(2,) * 6, (8, 8), (2, 32), (32, 2), (2, 3, 2, 5)]:
+            spec = GroupSpec(mods)
+            spec._weights, spec._full_mask  # built outside the traced window
+            tracemalloc.start()
+            try:
+                spec._mask_axes
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held <= 4096
+        spec = GroupSpec((4, 32, 32))
+        A = GroupSet(spec, random.Random(5).sample(range(spec.order), 8))
+        rows = own_row_masks(A, A.index_array)
+        B = GroupSet(spec, range(0, spec.order, 3))
+        S = sumset(A, B)
+        assert "_mask_axes" not in spec.__dict__
+        assert rows == [A.shifted(x).mask for x in A.index_array.tolist()]
+        assert S.indices == set(np.concatenate([spec.shift_indices(B.index_array, a) for a in A.indices]).tolist())

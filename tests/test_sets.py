@@ -273,10 +273,13 @@ class TestOwnRows:
 
     def test_rows_are_converted_a_block_at_a_time(self, monkeypatch):
         # a block of 8 words holds one 512-bit row, so each call of
-        # translate_rows builds one row
-        spec = GroupSpec((512,))
+        # translate_rows builds one row; six rows of a 5-element set in
+        # Z_2^9 lie on the index-sum side of the row rule
+        spec = GroupSpec((2,) * 9)
         B = generate_instance("random", spec, size=5, seed=2)
-        whole = own_row_masks(B, [0, 3, 9])
+        xs = [0, 3, 9, 17, 100, 200]
+        assert not sets._by_shifts(spec)
+        whole = own_row_masks(B, xs)
         calls = []
         build = sets.translate_rows
 
@@ -286,8 +289,73 @@ class TestOwnRows:
 
         monkeypatch.setattr(sets, "_BLOCK_ENTRIES", 8)
         monkeypatch.setattr(sets, "translate_rows", counted)
-        assert own_row_masks(B, [0, 3, 9]) == whole
-        assert calls == [1, 1, 1]
+        assert own_row_masks(B, xs) == whole
+        assert calls == [1] * len(xs)
+
+    @pytest.mark.parametrize("mods", [(16,), (3, 3, 3)])
+    def test_identity_row_is_one_shift(self, mods, monkeypatch):
+        # on the mask side of the row rule, verify_covered(A, X.with_identity())
+        # takes A's rows from its table and the identity's row from A.mask,
+        # so no packed row is built
+        spec = GroupSpec(mods)
+        A = generate_instance("random", spec, size=5, seed=3)
+        assert sets._by_shifts(spec)
+        delta = Fraction(1, 4)
+        X = statistical_cover(A, A, delta).X.with_identity()
+        want = covering.verify_covered(GroupSet(spec, A.indices), X, delta)
+        calls = []
+        monkeypatch.setattr(sets, "translate_rows", lambda B, xs: calls.append(len(xs)))
+        assert covering.verify_covered(A, X, delta) == want
+        assert own_row_masks(A, X.index_array) == [A.shifted(x).mask for x in sorted(X.indices)]
+        assert calls == []
+
+
+class TestRowForms:
+    """Shifts of B.mask and packed index sums give the same rows and sumsets."""
+
+    @staticmethod
+    def forced(form):
+        return lambda spec: form
+
+    @given(st.sampled_from(KERNEL_GROUPS + [(2,) * 9, (3,) * 6, (2, 4, 8)]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_and_sumsets_agree(self, mods, data):
+        spec = GroupSpec(mods)
+        A = draw_set(data, spec, min_size=1, max_size=12)
+        B = draw_set(data, spec, min_size=1)
+        xs = np.array(data.draw(st.lists(st.integers(0, spec.order - 1), max_size=6)), dtype=np.int64)
+        coords = lambda S: [e.coords for e in S]
+        want_sum = sumset_oracle(mods, coords(A), coords(B))
+        got, rule = [], sets._by_shifts
+        for form in (True, False):
+            sets._by_shifts = self.forced(form)
+            try:
+                fresh = GroupSet(spec, B.indices)
+                rows = sets._translate_masks(fresh, xs)
+                S = sumset(A, fresh)
+            finally:
+                sets._by_shifts = rule
+            assert {e.coords for e in S} == want_sum
+            assert S.mask == sets.indices_to_mask(spec.order, S.indices)
+            got.append((rows, S))
+        assert got[0] == got[1]
+        # the row of x is the mask of {x} + B
+        translates = [sumset_oracle(mods, [spec.element_at(x).coords], coords(B)) for x in xs.tolist()]
+        mask_of = lambda cs: sets.indices_to_mask(spec.order, [spec.index_of(c) for c in cs])
+        assert got[0][0] == [mask_of(t) for t in translates]
+
+    @given(st.sampled_from(KERNEL_GROUPS), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_requests_read_the_table(self, mods, data):
+        # rows of xs in B come from B's table once it is built, the others
+        # are built alone, and the order of xs is kept
+        spec = GroupSpec(mods)
+        B = draw_set(data, spec, min_size=1, max_size=12)
+        xs = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=8))
+        want = [row_int(r) for r in translate_rows(B, xs)]
+        assert own_row_masks(B, xs) == want
+        own_row_masks(B, B.index_array)  # builds the table
+        assert own_row_masks(B, xs) == want
 
 
 class TestDenseAndSparseSumset:
@@ -319,6 +387,43 @@ class TestDenseAndSparseSumset:
                 assert got == sumset_oracle(mods, [e.coords for e in A], [e.coords for e in B])
                 rows = translate_rows(B, A.index_array)
                 assert [row_int(r) for r in rows] == [B.shifted(x).mask for x in sorted(A.indices)]
+
+
+    def test_shifted_sumset_holds_one_shift_at_a_time(self):
+        # 1000 shifts of a 2^16-bit mask near the top of Z_65536 would take
+        # 8 MiB held at once; ORed as they are made, the peak stays a few
+        # |G|-sized buffers
+        spec = GroupSpec((2**16,))
+        A = GroupSet(spec, range(spec.order - 1000, spec.order))
+        B = GroupSet(spec, range(spec.order // 2, spec.order // 2 + 3000))
+        assert sets._by_shifts(spec)
+        for S in (A, B):
+            S.mask, S.index_array  # built outside the traced window
+        spec._full_mask
+        tracemalloc.start()
+        try:
+            S = sumset(A, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * spec.order
+        half = spec.order // 2
+        assert S.indices == {(half - 1000 + i) % spec.order for i in range(3999)}
+
+    @pytest.mark.parametrize("count", [3, 40])
+    def test_indices_to_mask_forms_agree_and_check_bounds(self, count):
+        # both sides of _SMALL_MASK, from an iterable and from an array
+        spec = GroupSpec((300,))
+        idx = random.Random(count).sample(range(spec.order), count)
+        want = sum(1 << i for i in idx)
+        assert sets.indices_to_mask(spec.order, idx) == want
+        assert sets.indices_to_mask(spec.order, iter(idx)) == want
+        assert sets.indices_to_mask(spec.order, np.array(idx, dtype=np.int64)) == want
+        for bad in (spec.order, -1):
+            with pytest.raises(IndexError):
+                sets.indices_to_mask(spec.order, idx[:-1] + [bad])
+            with pytest.raises(IndexError):
+                sets.indices_to_mask(spec.order, np.array(idx[:-1] + [bad], dtype=np.int64))
 
 
 class TestKFold:
